@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .grid import build_grid
 from .materials import MaterialPhase, builtin_materials
+from .rve import build_layout
 
 STAGES = ("optimize", "homogenize", "dispersion", "transmission")
 
@@ -214,6 +216,11 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
 
     if cfg.nx < 2 or cfg.ny < 2:
         err(f"grid must be at least 2x2, got {cfg.nx}x{cfg.ny}")
+    else:   # the frame rule depends on the element counts only
+        try:
+            build_layout(build_grid(cfg.nx, cfg.ny, 1.0), cfg.frame_fraction)
+        except ValueError as exc:
+            err(str(exc))
     if cfg.cell_size <= 0:
         err(f"cell_size must be positive, got {cfg.cell_size}")
     if not 0.0 <= cfg.alpha <= 1.0:
@@ -222,14 +229,19 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
         err(f"target_f_hz must be positive, got {cfg.target_f_hz}")
     if cfg.dt <= 0:
         err(f"dt must be positive, got {cfg.dt}")
-    if not 0.0 < cfg.frame_fraction < 0.5:
-        err(f"frame_fraction must be in (0, 0.5), got {cfg.frame_fraction}")
+    if cfg.interpolation_exponent <= 0:
+        err(f"interpolation_exponent must be positive, got {cfg.interpolation_exponent}")
     if cfg.samples < 1 or len(tuple(cfg.viscosities)) == 0:
         err("frequency sweep needs at least one sample and one viscosity")
     if cfg.f_min_hz <= 0 or cfg.f_max_hz <= cfg.f_min_hz:
         err(f"need 0 < f_min < f_max, got [{cfg.f_min_hz}, {cfg.f_max_hz}]")
     if any(v < 0 for v in cfg.viscosities):
         err(f"viscosities must be >= 0, got {cfg.viscosities}")
+    for name in ("modes", "bloch_branches", "kappa_samples", "panel_cells"):
+        if getattr(cfg, name) < 1:
+            err(f"{name} must be at least 1, got {getattr(cfg, name)}")
+    if cfg.macro_nx < 2 or cfg.macro_ny < 2:
+        err(f"panel grid must be at least 2x2, got {cfg.macro_nx}x{cfg.macro_ny}")
 
     unknown = [s for s in cfg.stages if s not in STAGES]
     if unknown:
@@ -240,6 +252,8 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
             err(f"stages must be contiguous in pipeline order, got {cfg.stages}")
         elif idx and idx[0] > 0 and cfg.level_set_file is None:
             err("stages skip 'optimize' but no level_set_file is provided")
+        elif idx and idx[0] > 0 and not Path(cfg.level_set_file).is_file():
+            err(f"level_set_file not found: {cfg.level_set_file}")
 
     try:
         registry = load_materials(cfg)

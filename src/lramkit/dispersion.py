@@ -138,7 +138,7 @@ def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
         Mb = (Th @ (M @ T)).tocsr()
         Kb = 0.5 * (Kb + Kb.conj().T)
         Mb = 0.5 * (Mb + Mb.conj().T)
-        sol = modal.solve_smallest_hermitian(Kb, Mb, n_branches, shift=shift)
+        sol = modal.solve_smallest(Kb, Mb, n_branches, shift=shift, system="bloch")
         lam = np.clip(sol.eigenvalues, 0.0, None)
         freqs[idx] = np.sqrt(lam) / (2.0 * math.pi)
         full = T @ sol.modes

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import InvalidMaterialError, MeshIncompatibilityError
+from .errors import MeshIncompatibilityError
 from .grid import StructuredGrid
 from .materials import GaussPointFields
 
@@ -91,6 +91,12 @@ def assemble(grid: StructuredGrid, fields: GaussPointFields, validate: bool = Tr
         fields.validate()
     Me, Ce, Ke = element_matrices(grid, fields)
     return _scatter(grid, Me), _scatter(grid, Ce), _scatter(grid, Ke)
+
+
+def damping_matrix(grid: StructuredGrid, fields: GaussPointFields) -> sparse.csr_matrix:
+    """Global damping csr matrix alone, the only viscosity-dependent one."""
+    fields.validate()
+    return _scatter(grid, element_matrices(grid, fields)[1])
 
 
 def averaging_operators(grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -276,8 +282,3 @@ def mass_templates(grid: StructuredGrid):
 def total_mass(M: sparse.spmatrix, I_rigid: np.ndarray) -> float:
     """Translational mass recovered from the assembled mass matrix."""
     return float(I_rigid[:, 0] @ (M @ I_rigid[:, 0]))
-
-
-def density_check(fields: GaussPointFields):
-    if np.any(fields.rho < 0.0):
-        raise InvalidMaterialError("negative density")

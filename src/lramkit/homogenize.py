@@ -5,6 +5,10 @@ effective elastic and viscous tensors, average density, and the reduced
 inertial system (modal coupling vector, natural frequencies, modal damping
 matrix) that makes the macroscopic inertia frequency dependent.
 
+Stiffness and mass do not depend on the viscosity: ``cell_modes`` solves
+the cell once per design, and the viscosity enters only through the damping
+projection of ``effective_material``.
+
 Harmonic quantities follow the exp(-i w t) convention, so the dynamic
 density reads rho_eff(w) = rho_bar I + w^2 Q (W^2 - w^2 I - i w W_D)^-1 Q^T
 and its imaginary part is nonnegative for dissipative cells.
@@ -12,7 +16,7 @@ and its imaginary part is nonnegative for dissipative cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -20,11 +24,9 @@ from scipy.optimize import brentq
 from scipy.sparse import linalg as spla
 
 from . import fem, modal
-from .errors import ConstraintError, NoRelevantModeError, PoleError
+from .errors import ConstraintError, PoleError
 from .grid import StructuredGrid
 from .materials import GaussPointFields
-
-_COUNT_CAP = 96
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class EffectiveMaterial:
     volume: float                       # m^3 (unit out-of-plane depth)
     mode_table: tuple[ModeRecord, ...] = ()
     coupling_ratio: float = 0.0         # damping leakage into dropped modes
-    mode_shapes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -74,16 +75,13 @@ class EffectiveMaterial:
         return self.resonance_frequencies_hz[strength > rel_tol * scale]
 
 
-def quasi_static(grid: StructuredGrid, K, C, ops: fem.ConstraintOperators,
-                 volume: float | None = None):
-    """Effective elastic and viscous tensors from the quasi-static response.
+def quasi_static(K, ops: fem.ConstraintOperators, volume: float):
+    """Effective elastic tensor and deflated strain basis Y_tilde.
 
     The microfluctuation under a unit macroscopic strain follows from the
-    constrained stiffness solve; the deflated strain basis then contracts K
-    and the damping matrix to the 3x3 effective tensors.
+    constrained stiffness solve; Y_tilde then contracts K (and, in
+    ``effective_material``, the damping matrix) to the 3x3 effective tensors.
     """
-    if volume is None:
-        volume = grid.area
     P = ops.P
     Y = ops.Y
     PtKP = (P.T @ (K @ P)).tocsc()
@@ -95,25 +93,25 @@ def quasi_static(grid: StructuredGrid, K, C, ops: fem.ConstraintOperators,
     X = np.column_stack([lu.solve(np.asarray(P.T @ KY[:, j]).ravel()) for j in range(3)])
     Y_tilde = Y - P @ X
     C_eff = (Y.T @ (K @ Y_tilde)) / volume
-    eta_eff = (Y_tilde.T @ (C @ Y_tilde)) / volume
     C_eff = 0.5 * (C_eff + C_eff.T)
-    eta_eff = 0.5 * (eta_eff + eta_eff.T)
-    return C_eff, eta_eff
+    return C_eff, Y_tilde
 
 
 @dataclass(frozen=True)
-class InertialReduction:
-    """Reduced modal system of the constrained cell."""
+class CellModes:
+    """Viscosity-free part of a cell's homogenization: the reduced modal system
+    plus, filled in by ``cell_modes``, the quasi-static tensor and basis."""
 
     rho_bar: float
     Q: np.ndarray
     omega2: np.ndarray
-    omega_d: np.ndarray
     solution: modal.ModalSolution
-    relevant: np.ndarray
     kept: np.ndarray
     coupling: np.ndarray                # (d, count) volume-averaged <rho phi>
-    coupling_ratio: float
+    P: sparse.csr_matrix = field(repr=False)
+    C_eff: np.ndarray | None = None
+    Y_tilde: np.ndarray | None = field(default=None, repr=False)  # (ndof, 3)
+    grid: StructuredGrid | None = None
 
 
 def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
@@ -147,53 +145,69 @@ def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
     return modal.ModalSolution(vals, modes, sol.residuals, sol.system), coupling
 
 
-def reduced_inertial_system(M, C, K, P, I_rigid, volume: float, count: int,
+def reduced_inertial_system(M, K, P, I_rigid, volume: float, count: int,
                             delta_tol: float = 1e-3,
                             keep_below_hz: float | None = None,
-                            shift: float | None = 0.0) -> InertialReduction:
+                            shift: float | None = 0.0) -> CellModes:
     """Modal reduction of the constrained inertial problem.
 
-    Solves the undamped constrained pencil, selects modes with significant
-    momentum coupling (and below ``keep_below_hz`` when given), and projects
-    the damping matrix onto them. The coupling columns are scaled so that
-    Q Q^T carries density units, making rho_eff a true density.
+    Solves the undamped constrained pencil and selects modes with
+    significant momentum coupling (and below ``keep_below_hz`` when given).
+    The coupling columns are scaled so that Q Q^T carries density units,
+    making rho_eff a true density.
     """
     Kr = (P.T @ (K @ P)).tocsr()
     Mr = (P.T @ (M @ P)).tocsr()
-    Cr = (P.T @ (C @ P)).tocsr()
     rho_bar = modal.average_density(M, I_rigid, volume)
-    n = count
-    nmax = min(_COUNT_CAP, Kr.shape[0])
-    while True:
-        sol = modal.solve_smallest(Kr, Mr, n, shift=shift, system="restricted")
+
+    def relevance(sol):
         coupling = modal.momentum_coupling(sol, M, P, I_rigid, volume)
         sol, coupling = _align_degenerate(sol, coupling)
-        try:
-            relevant = modal.filter_relevant_restricted(
-                sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
-        except NoRelevantModeError:
-            if n >= nmax:
-                raise
-            n = min(2 * n, nmax)
-            continue
-        if keep_below_hz is not None and n < nmax:
-            # make sure the computed window actually covers the band
-            if sol.frequencies_hz[-1] < keep_below_hz:
-                n = min(2 * n, nmax)
-                continue
-        break
+        return sol, coupling, modal.filter_relevant_restricted(
+            sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
+
+    _, (sol, coupling, relevant) = modal.solve_relevant(
+        Kr, Mr, count, relevance, shift=shift, system="restricted",
+        cover_hz=keep_below_hz)
 
     kept = relevant
     if keep_below_hz is not None:
         freqs = sol.frequencies_hz
         kept = np.array([k for k in relevant if freqs[k] <= keep_below_hz], dtype=int)
 
-    phi_kept = sol.modes[:, kept]
     Q = coupling[:, kept] * math.sqrt(volume)
     omega2 = sol.eigenvalues[kept].copy()
+    return CellModes(rho_bar=rho_bar, Q=Q, omega2=omega2, solution=sol, kept=kept,
+                     coupling=coupling, P=P)
+
+
+def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
+               delta_tol: float = 1e-3,
+               keep_below_hz: float | None = 6000.0) -> CellModes:
+    """Periodic quasi-static tensor and undamped modal basis of a cell, once
+    per design; the viscosity in ``fields`` is ignored."""
+    M, _, K = fem.assemble(grid, fields)
+    ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC_PINNED)
+    volume = grid.area
+    C_eff, Y_tilde = quasi_static(K, ops, volume)
+    red = reduced_inertial_system(M, K, ops.P, ops.I_rigid, volume, count=count,
+                                  delta_tol=delta_tol, keep_below_hz=keep_below_hz)
+    return replace(red, C_eff=C_eff, Y_tilde=Y_tilde, grid=grid)
+
+
+def effective_material(cell: CellModes, fields: GaussPointFields) -> EffectiveMaterial:
+    """Effective record of ``cell`` with the viscosity of ``fields``: assembles
+    only the damping matrix and projects it onto the quasi-static basis
+    (eta_eff) and the kept modes (omega_d)."""
+    grid, sol, kept = cell.grid, cell.solution, cell.kept
+    volume = grid.area
+    C = fem.damping_matrix(grid, fields)
+    eta_eff = (cell.Y_tilde.T @ (C @ cell.Y_tilde)) / volume
+    eta_eff = 0.5 * (eta_eff + eta_eff.T)
+    Cr = (cell.P.T @ (C @ cell.P)).tocsr()
+    phi_kept = sol.modes[:, kept]
     omega_d = phi_kept.T @ (Cr @ phi_kept)
     omega_d = 0.5 * (omega_d + omega_d.T)
-
     dropped = np.setdiff1d(np.arange(sol.count), kept)
     ratio = 0.0
     if kept.size and dropped.size:
@@ -201,42 +215,19 @@ def reduced_inertial_system(M, C, K, P, I_rigid, volume: float, count: int,
         on = np.linalg.norm(omega_d)
         if on > 0.0:
             ratio = float(np.linalg.norm(cross) / on)
-    return InertialReduction(rho_bar=rho_bar, Q=Q, omega2=omega2, omega_d=omega_d,
-                             solution=sol, relevant=relevant, kept=kept,
-                             coupling=coupling, coupling_ratio=ratio)
-
-
-def effective_material(grid: StructuredGrid, fields: GaussPointFields,
-                       count: int = 24, delta_tol: float = 1e-3,
-                       keep_below_hz: float | None = 6000.0,
-                       keep_mode_shapes: bool = False) -> EffectiveMaterial:
-    """Full homogenization of a cell: periodic quasi-static tensors plus the
-    reduced inertial system of the same periodically constrained cell."""
-    M, C, K = fem.assemble(grid, fields)
-    ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC_PINNED)
-    volume = grid.area
-    C_eff, eta_eff = quasi_static(grid, K, C, ops, volume)
-    red = reduced_inertial_system(M, C, K, ops.P, ops.I_rigid, volume,
-                                  count=count, delta_tol=delta_tol,
-                                  keep_below_hz=keep_below_hz)
-    sol = red.solution
-    kept_set = set(int(k) for k in red.kept)
+    kept_set = set(int(k) for k in kept)
     scale = math.sqrt(volume)
     table = tuple(
         ModeRecord(index=j,
                    frequency_hz=float(sol.frequencies_hz[j]),
-                   coupling_x=float(abs(red.coupling[0, j]) * scale),
-                   coupling_y=float(abs(red.coupling[1, j]) * scale),
+                   coupling_x=float(abs(cell.coupling[0, j]) * scale),
+                   coupling_y=float(abs(cell.coupling[1, j]) * scale),
                    kept=j in kept_set)
         for j in range(sol.count))
-    shapes = None
-    if keep_mode_shapes:
-        shapes = np.asarray(ops.P @ sol.modes[:, red.kept])
-    return EffectiveMaterial(rho_bar=red.rho_bar, C_eff=C_eff, eta_eff=eta_eff,
-                             Q=red.Q, omega2=red.omega2, omega_d=red.omega_d,
+    return EffectiveMaterial(rho_bar=cell.rho_bar, C_eff=cell.C_eff, eta_eff=eta_eff,
+                             Q=cell.Q, omega2=cell.omega2, omega_d=omega_d,
                              cell_size=grid.cell_size, volume=volume,
-                             mode_table=table, coupling_ratio=red.coupling_ratio,
-                             mode_shapes=shapes)
+                             mode_table=table, coupling_ratio=ratio)
 
 
 def effective_density(em: EffectiveMaterial, omega: float) -> np.ndarray:

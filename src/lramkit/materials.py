@@ -51,10 +51,6 @@ class MaterialPhase:
         """K + 4G/3, the longitudinal plane-strain stiffness."""
         return self.K + 4.0 * self.G / 3.0
 
-    @property
-    def longitudinal_speed(self) -> float:
-        return float(np.sqrt(self.p_wave_modulus / self.rho))
-
     def scaled(self, stiffness: float = 1.0, density: float = 1.0,
                suffix: str = "") -> "MaterialPhase":
         """New phase with moduli and/or density multiplied by the factors."""
@@ -85,11 +81,6 @@ def isotropic_tensors(phase: MaterialPhase) -> tuple[np.ndarray, np.ndarray]:
     C = phase.K * _VOL + phase.G * _DEV
     eta = phase.mu_visc * _DEV
     return C, eta
-
-
-def elastic_voigt(K: float, G: float) -> np.ndarray:
-    """C(K, G) without constructing a phase; used by interpolation code."""
-    return K * _VOL + G * _DEV
 
 
 def deviatoric_voigt() -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Generalized symmetric eigensolver and relevance filtering.
+"""Generalized eigensolver and relevance filtering.
 
-Solves (K - lambda M) phi = 0 for the algebraically smallest eigenpairs,
-with mass-normalized modes. Small pencils go through a dense solve; larger
-ones through shift-inverted ARPACK with a deterministic start vector.
+Solves (K - lambda M) phi = 0, real symmetric or complex Hermitian, for the
+smallest eigenpairs with mass-normalized modes. Small pencils go through a
+dense solve; larger ones through shift-inverted ARPACK with a fixed start.
 
 Relevance of a mode is judged by its momentum coupling <rho phi>
 (restricted systems) or its mean displacement <phi> (unrestricted systems),
@@ -22,6 +22,7 @@ from .errors import NoRelevantModeError, SolverFailureError
 
 DENSE_CUTOFF = 600
 _V0_SEED = 7
+_COUNT_CAP = 96
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,18 @@ def _residuals(K, M, vals, vecs):
     return res
 
 
-def _solve_pencil(K, M, count: int, shift, system: str) -> ModalSolution:
+def solve_smallest(K, M, count: int, shift: float | None = None,
+                   system: str = "") -> ModalSolution:
+    """The ``count`` algebraically smallest eigenpairs of the pencil (K, M).
+
+    K must be real symmetric or complex Hermitian positive semidefinite
+    (singular is fine: rigid modes are returned, not avoided), M likewise
+    positive definite. ``shift`` is the ARPACK shift-invert point; any value
+    below the smallest eigenvalue gives the same answer, only convergence
+    speed differs. With the default ``None`` a zero shift is tried first and
+    a small negative one on failure, so singular K never kills the solve.
+    """
+    K, M = _as_csr(K), _as_csr(M)
     n = K.shape[0]
     count = int(count)
     if count < 1:
@@ -115,24 +127,23 @@ def _solve_pencil(K, M, count: int, shift, system: str) -> ModalSolution:
     raise SolverFailureError(f"shift-invert factorization failed: {last_err}")
 
 
-def solve_smallest(K, M, count: int, shift: float | None = None,
-                   system: str = "") -> ModalSolution:
-    """The ``count`` algebraically smallest eigenpairs of a real pencil (K, M).
-
-    K must be symmetric positive semidefinite (singular is fine: rigid modes
-    are returned, not avoided), M symmetric positive definite. ``shift`` is
-    the ARPACK shift-invert point; any value below the smallest eigenvalue
-    gives the same answer, only convergence speed differs. With the default
-    ``None`` a zero shift is tried first and a small negative one on
-    failure, so singular K never kills the solve.
-    """
-    return _solve_pencil(_as_csr(K), _as_csr(M), count, shift, system)
-
-
-def solve_smallest_hermitian(K, M, count: int, shift: float | None = None,
-                             system: str = "bloch") -> ModalSolution:
-    """Smallest eigenpairs of a complex Hermitian pencil (Bloch systems)."""
-    return _solve_pencil(_as_csr(K), _as_csr(M), count, shift, system)
+def solve_relevant(K, M, count: int, relevant, shift: float | None = None,
+                   system: str = "", cover_hz: float | None = None):
+    """(sol, relevant(sol)), doubling ``count`` up to min(_COUNT_CAP, n) while
+    ``relevant`` raises NoRelevantModeError (re-raised at the cap) or, with
+    ``cover_hz`` given, while the highest computed mode lies below it."""
+    cap = min(_COUNT_CAP, K.shape[0])
+    while True:
+        sol = solve_smallest(K, M, count, shift=shift, system=system)
+        try:
+            picked = relevant(sol)
+        except NoRelevantModeError:
+            if count >= cap:
+                raise
+        else:
+            if cover_hz is None or count >= cap or sol.frequencies_hz[-1] >= cover_hz:
+                return sol, picked
+        count = min(2 * count, cap)
 
 
 def momentum_coupling(sol: ModalSolution, M, P, I_rigid, volume: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -142,19 +142,23 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
             if phi is None:
                 raise ConfigError("homogenization requested without a design")
             chi = rve.chi_at_gauss(layout, phi)
+            phases_true = rve.PhaseSet(frame=frame, dense=dense, soft=soft,
+                                       exponent=cfg.interpolation_exponent)
+            fields = rve.material_fields(layout, chi, phases_true,
+                                         include_viscosity=False)
+            cell = homogenize.cell_modes(grid, fields, count=cfg.modes,
+                                         delta_tol=cfg.delta_tol,
+                                         keep_below_hz=cfg.mode_ceiling_hz)
             for mu in cfg.viscosities:
-                phases_true = rve.PhaseSet(frame=frame, dense=dense,
-                                           soft=soft.with_viscosity(mu),
-                                           exponent=cfg.interpolation_exponent)
-                fields = rve.material_fields(layout, chi, phases_true)
+                phases_mu = replace(phases_true, soft=soft.with_viscosity(mu))
                 em = homogenize.effective_material(
-                    grid, fields, count=cfg.modes, delta_tol=cfg.delta_tol,
-                    keep_below_hz=cfg.mode_ceiling_hz)
+                    cell, rve.material_fields(layout, chi, phases_mu))
                 ems[mu] = em
                 if "homogenize" in cfg.stages:
                     p = out / f"effective_material_mu{_mu_tag(mu)}.txt"
                     homogenize.write_report(em, p)
                     emit(p)
+            del cell   # its modal basis is not needed by the later stages
 
         # ---- stage: dispersion -----------------------------------------
         if "dispersion" in cfg.stages:
@@ -164,10 +168,6 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                 p = out / f"dispersion_effective_mu{_mu_tag(mu)}.csv"
                 curve.to_csv(p)
                 emit(p)
-            chi = rve.chi_at_gauss(layout, phi)
-            phases_true = rve.PhaseSet(frame=frame, dense=dense, soft=soft,
-                                       exponent=cfg.interpolation_exponent)
-            fields = rve.material_fields(layout, chi, phases_true)
             kappas = np.linspace(0.0, np.pi / cfg.cell_size, cfg.kappa_samples)
             bres = dispersion.bloch_oracle(grid, fields, kappas,
                                            n_branches=cfg.bloch_branches)

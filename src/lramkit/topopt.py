@@ -26,8 +26,6 @@ from .errors import FeasibilityError, NoRelevantModeError, SolverFailureError
 from .grid import StructuredGrid
 from .materials import deviatoric_voigt, interpolate, volumetric_voigt
 
-_COUNT_CAP = 96
-
 
 def feasibility_lower_limit(phases, cell_size: float) -> float:
     """Theoretical lower bound (rad/s) on the first restricted resonance.
@@ -172,31 +170,25 @@ class OptimizeResult:
         return (math.sqrt(c.lambda1) - math.sqrt(c.lambda_star1)) / (2.0 * math.pi)
 
 
-def _solve_relevant(K, M, P, ops, volume, count, delta_tol, shift, restricted: bool):
-    """Smallest modes of the reduced pencil plus relevance indices,
-    growing the mode count when nothing relevant shows up."""
+def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool):
+    """Smallest modes of the reduced pencil plus relevance indices."""
+    P = ops.P
     Kr = (P.T @ (K @ P)).tocsr()
     Mr = (P.T @ (M @ P)).tocsr()
     rho_bar = modal.average_density(M, ops.I_rigid, volume)
-    n = count
-    while True:
-        sol = modal.solve_smallest(Kr, Mr, n, shift=shift,
-                                   system="restricted" if restricted else "unrestricted")
-        try:
-            if restricted:
-                coupling = modal.momentum_coupling(sol, M, P, ops.I_rigid, volume)
-                rel = modal.filter_relevant_restricted(
-                    sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
-            else:
-                mean = modal.mean_displacement(sol, ops.N_mu, P)
-                proj = modal.rigid_projections(sol, Mr, P.T @ ops.I_rigid)
-                rel = modal.filter_relevant_unrestricted(
-                    sol, mean, 1.0 / math.sqrt(rho_bar * volume), proj, delta_tol)
-            return sol, rel
-        except NoRelevantModeError:
-            if n >= min(_COUNT_CAP, Kr.shape[0]):
-                raise
-            n = min(2 * n, _COUNT_CAP, Kr.shape[0])
+
+    def relevant(sol):
+        if restricted:
+            coupling = modal.momentum_coupling(sol, M, P, ops.I_rigid, volume)
+            return modal.filter_relevant_restricted(
+                sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
+        mean = modal.mean_displacement(sol, ops.N_mu, P)
+        proj = modal.rigid_projections(sol, Mr, P.T @ ops.I_rigid)
+        return modal.filter_relevant_unrestricted(
+            sol, mean, 1.0 / math.sqrt(rho_bar * volume), proj, delta_tol)
+
+    return modal.solve_relevant(Kr, Mr, count, relevant, shift=shift,
+                                system="restricted" if restricted else "unrestricted")
 
 
 def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,
@@ -208,12 +200,10 @@ def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet
     volume = grid.area
 
     shift_free = -(2.0 * math.pi * max(settings.target_f_hz / 10.0, 10.0)) ** 2
-    sol_r, rel_r = _solve_relevant(K, M, ops_restricted.P, ops_restricted, volume,
-                                   settings.modal_count, settings.delta_tol,
-                                   shift=0.0, restricted=True)
-    sol_u, rel_u = _solve_relevant(K, M, ops_free.P, ops_free, volume,
-                                   settings.modal_count, settings.delta_tol,
-                                   shift=shift_free, restricted=False)
+    sol_r, rel_r = _solve_relevant(K, M, ops_restricted, volume, settings.modal_count,
+                                   settings.delta_tol, shift=0.0, restricted=True)
+    sol_u, rel_u = _solve_relevant(K, M, ops_free, volume, settings.modal_count,
+                                   settings.delta_tol, shift=shift_free, restricted=False)
 
     lam_s = float(sol_r.eigenvalues[rel_r[0]])
     lam_u = float(sol_u.eigenvalues[rel_u[0]])

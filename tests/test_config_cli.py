@@ -175,6 +175,24 @@ class TestValidate:
         cfg = parse_config(f"[output]\nstages = homogenize\nlevel_set_file = {phi}\n")
         assert not self._errors(cfg)
 
+    @pytest.mark.parametrize("text", [
+        "[analysis]\nkappa_samples = 0\n",
+        "[analysis]\nmodes = 0\n",
+        "[analysis]\nbloch_branches = 0\n",
+        "[analysis]\nmacro_nx = 1\n",
+        "[analysis]\npanel_cells = 0\n",
+        "[grid]\nnx = 3\nny = 3\n",
+        "[materials]\ninterpolation_exponent = -1\n",
+        "[output]\nstages = homogenize\nlevel_set_file = {tmp}/missing_phi.txt\n",
+    ])
+    def test_configs_that_would_crash_are_rejected(self, tmp_path, text):
+        cfg = parse_config(text.format(tmp=tmp_path))
+        assert self._errors(cfg)
+        cfg.out_dir = str(tmp_path / "never")
+        result = pipeline.run(cfg, log=lambda *_: None)
+        assert result.exit_code == 1
+        assert not (tmp_path / "never").exists()
+
     def test_diagnostic_str(self):
         d = Diagnostic("error", "boom", line=4)
         assert "line 4" in str(d) and "boom" in str(d)

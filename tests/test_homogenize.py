@@ -39,7 +39,8 @@ def _striped_fields(grid, phase_a, phase_b):
 class TestQuasiStatic:
     def test_homogeneous_epoxy_exact(self, epoxy):
         g = build_grid(10, 10, 0.01)
-        em = homogenize.effective_material(g, uniform_fields(g, epoxy), count=6)
+        fields = uniform_fields(g, epoxy)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
         exact = _plane_strain_tensor(epoxy.K, epoxy.G)
         assert np.abs(em.C_eff - exact).max() <= 1e-8 * exact[0, 0]
         assert em.C_eff[0, 0] == pytest.approx(7.61e9)
@@ -47,15 +48,15 @@ class TestQuasiStatic:
 
     def test_homogeneous_viscous_exact(self, epoxy):
         g = build_grid(8, 8, 0.01)
-        em = homogenize.effective_material(
-            g, uniform_fields(g, epoxy.with_viscosity(10.0)), count=6)
+        fields = uniform_fields(g, epoxy.with_viscosity(10.0))
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
         _, eta_exact = isotropic_tensors(epoxy.with_viscosity(10.0))
         assert np.abs(em.eta_eff - eta_exact).max() <= 1e-10 * eta_exact[0, 0]
 
     def test_layered_cell_matches_laminate(self, epoxy, rubber):
         g = build_grid(12, 12, 0.01)
         fields = _striped_fields(g, epoxy, rubber)
-        em = homogenize.effective_material(g, fields, count=6)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
         c11a = _plane_strain_tensor(epoxy.K, epoxy.G)[0, 0]
         c11b = _plane_strain_tensor(rubber.K, rubber.G)[0, 0]
         exact = laminate_c11([c11a, c11b], [0.5, 0.5])
@@ -69,7 +70,7 @@ class TestQuasiStatic:
         chi = rve.chi_at_gauss(layout, phi)
         phases = rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber.with_viscosity(5.0))
         fields = rve.material_fields(layout, chi, phases)
-        em = homogenize.effective_material(g, fields, count=6)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
         assert np.abs(em.C_eff - em.C_eff.T).max() <= 1e-10 * np.abs(em.C_eff).max()
         assert np.abs(em.eta_eff - em.eta_eff.T).max() <= 1e-10 * np.abs(em.eta_eff).max()
 
@@ -82,8 +83,7 @@ class TestInertialReduction:
         vals, vecs = dense_modal(K, M)
         volume = 2.0
         red = homogenize.reduced_inertial_system(
-            sparse.csr_matrix(M), sparse.csr_matrix(np.zeros((3, 3))),
-            sparse.csr_matrix(K), sparse.identity(3, format="csr"),
+            sparse.csr_matrix(M), sparse.csr_matrix(K), sparse.identity(3, format="csr"),
             np.ones((3, 1)), volume, count=3, delta_tol=1e-6)
         np.testing.assert_allclose(np.sort(red.omega2),
                                    np.sort(vals[red.kept]), rtol=1e-10)
@@ -98,8 +98,33 @@ class TestInertialReduction:
         chi = rve.chi_at_gauss(layout, phi)
         phases = rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber)
         fields = rve.material_fields(layout, chi, phases)
-        em = homogenize.effective_material(g, fields, count=8)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=8), fields)
         assert np.all(em.omega_d == 0.0)
+
+    def test_viscosity_enters_only_the_damping(self, epoxy, steel, rubber):
+        g = build_grid(10, 10, 0.01)
+        layout = rve.build_layout(g, frame_fraction=0.1)
+        chi = rve.chi_at_gauss(layout, _centered_square_phi(layout))
+        ems = {}
+        cell = None
+        for mu in (0.0, 1.0, 10.0):
+            phases = rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber.with_viscosity(mu))
+            fields = rve.material_fields(layout, chi, phases)
+            if cell is None:
+                cell = homogenize.cell_modes(g, fields, count=8, keep_below_hz=None)
+            ems[mu] = homogenize.effective_material(cell, fields)
+        for em in ems.values():
+            assert np.array_equal(em.omega2, ems[0.0].omega2)
+            assert np.array_equal(em.Q, ems[0.0].Q)
+            assert np.array_equal(em.C_eff, ems[0.0].C_eff)
+            assert em.mode_table == ems[0.0].mode_table
+        assert ems[0.0].n_modes > 0
+        assert np.all(ems[0.0].omega_d == 0.0)
+        for name in ("eta_eff", "omega_d"):
+            one, ten = getattr(ems[1.0], name), getattr(ems[10.0], name)
+            assert np.abs(one).max() > 0.0
+            np.testing.assert_allclose(ten, 10.0 * one, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ten).max())
 
     def test_symmetric_cell_vertical_modes_decouple(self, epoxy, steel, rubber):
         g = build_grid(12, 12, 0.01)
@@ -108,7 +133,8 @@ class TestInertialReduction:
         chi = rve.chi_at_gauss(layout, phi)
         phases = rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber)
         fields = rve.material_fields(layout, chi, phases)
-        em = homogenize.effective_material(g, fields, count=8, keep_below_hz=None)
+        cell = homogenize.cell_modes(g, fields, count=8, keep_below_hz=None)
+        em = homogenize.effective_material(cell, fields)
         qx = np.abs(em.Q[0])
         qy = np.abs(em.Q[1])
         y_modes = qy > 1e-3 * math.sqrt(em.rho_bar)
@@ -172,8 +198,9 @@ class TestEffectiveDensity:
 class TestReport:
     def test_report_contents(self, epoxy, tmp_path):
         g = build_grid(8, 8, 0.01)
-        em = homogenize.effective_material(g, uniform_fields(g, epoxy), count=4,
-                                           keep_below_hz=None)
+        fields = uniform_fields(g, epoxy)
+        cell = homogenize.cell_modes(g, fields, count=4, keep_below_hz=None)
+        em = homogenize.effective_material(cell, fields)
         path = tmp_path / "report.txt"
         homogenize.write_report(em, path)
         text = path.read_text()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
 from lramkit import fem, modal
 from lramkit.errors import NoRelevantModeError
@@ -76,6 +76,59 @@ class TestSolveSmallest:
         ops = fem.build_constraints(g, fem.BoundaryCondition.FULLY_PRESCRIBED)
         sol = modal.solve_smallest(ops.P.T @ K @ ops.P, ops.P.T @ M @ ops.P, 6)
         assert sol.residuals.max() <= 1e-8
+
+
+    @pytest.mark.parametrize("n", [50, modal.DENSE_CUTOFF + 100])
+    def test_hermitian_matches_dense_eigh(self, n):
+        # complex Hermitian tridiagonal pencil, on both sides of DENSE_CUTOFF
+        rng = np.random.default_rng(17)
+        diag = rng.uniform(2.0, 3.0, n)
+        off = rng.uniform(0.3, 0.8, n - 1) * np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
+        K = sparse.diags([diag, off, off.conj()], [0, 1, -1]).tocsr()
+        M = sparse.diags(rng.uniform(0.5, 2.0, n)).tocsr()
+        sol = modal.solve_smallest(K, M, 6, system="bloch")
+        ref = linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        np.testing.assert_allclose(sol.eigenvalues, ref[:6], rtol=1e-8)
+        assert sol.residuals.max() < 1e-8
+        assert sol.system == "bloch"
+
+
+class TestSolveRelevant:
+    # fixed-fixed chain of 10 unit masses: 10 distinct eigenvalues in (0, 4)
+    K, M = chain_matrices([1.0] * 10, [1.0] * 11)
+    vals = linalg.eigh(K, M, eigvals_only=True)
+
+    def _above(self, lam, counts):
+        def relevant(sol):
+            counts.append(sol.count)
+            idx = np.flatnonzero(sol.eigenvalues > lam)
+            if idx.size == 0:
+                raise NoRelevantModeError("nothing above the threshold yet")
+            return idx
+        return relevant
+
+    def test_grows_until_relevant(self):
+        counts = []
+        lam = 0.5 * (self.vals[5] + self.vals[6])
+        sol, rel = modal.solve_relevant(self.K, self.M, 2, self._above(lam, counts))
+        assert counts == [2, 4, 8]
+        assert sol.count == 8
+        assert rel.tolist() == [6, 7]
+
+    def test_raises_at_cap(self):
+        counts = []
+        with pytest.raises(NoRelevantModeError):
+            modal.solve_relevant(self.K, self.M, 3, self._above(10.0, counts))
+        assert counts == [3, 6, 10]    # capped at the pencil size
+
+    def test_grows_to_cover_frequency(self):
+        counts = []
+        cover = np.sqrt(0.5 * (self.vals[4] + self.vals[5])) / (2 * np.pi)
+        sol, rel = modal.solve_relevant(self.K, self.M, 2, self._above(0.0, counts),
+                                        cover_hz=cover)
+        assert counts == [2, 4, 8]
+        assert sol.frequencies_hz[-1] >= cover
+        assert rel.tolist() == list(range(8))
 
 
 class TestRestrictedRelevance:
