@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .grid import build_grid
 from .materials import MaterialPhase, builtin_materials
@@ -205,6 +207,18 @@ def load_materials(cfg: PipelineConfig) -> dict[str, MaterialPhase]:
     return parse_material_card(p.read_text())
 
 
+def read_phi(path, nx: int, ny: int) -> np.ndarray:
+    """Nodal level set from a row-major (ny + 1, nx + 1) plain-text file."""
+    try:
+        data = np.loadtxt(path)
+    except ValueError as err:
+        raise ConfigError(f"level-set file {path} is not a numeric table: {err}") from err
+    if data.shape != (ny + 1, nx + 1):
+        raise ConfigError(f"level-set file {path} has shape {data.shape}, "
+                          f"expected {(ny + 1, nx + 1)}")
+    return data.ravel()
+
+
 def validate(cfg: PipelineConfig) -> list[Diagnostic]:
     """Diagnostics only; an empty error list means the pipeline may run."""
     from .topopt import feasibility_lower_limit
@@ -254,6 +268,11 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
             err("stages skip 'optimize' but no level_set_file is provided")
         elif idx and idx[0] > 0 and not Path(cfg.level_set_file).is_file():
             err(f"level_set_file not found: {cfg.level_set_file}")
+        elif idx and idx[0] > 0:
+            try:
+                read_phi(cfg.level_set_file, cfg.nx, cfg.ny)
+            except ConfigError as exc:
+                err(str(exc))
 
     try:
         registry = load_materials(cfg)

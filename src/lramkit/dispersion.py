@@ -127,7 +127,7 @@ def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
     squared frequencies are real. ``x_fraction`` reports per-branch
     longitudinal polarization for branch classification.
     """
-    M, _, K = fem.assemble(grid, fields)
+    M, K = fem.assemble(grid, fields)
     kappas = np.asarray(kappas, dtype=float)
     freqs = np.zeros((len(kappas), n_branches))
     pol = np.zeros((len(kappas), n_branches))

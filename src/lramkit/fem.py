@@ -65,15 +65,20 @@ def _reference_operators(hx: float, hy: float):
     return Nmats, Bmats
 
 
-def element_matrices(grid: StructuredGrid, fields: GaussPointFields):
-    """Per-element (ne, 8, 8) mass, damping and stiffness blocks."""
-    Nm, Bm = _reference_operators(grid.hx, grid.hy)
+def stiffness_blocks(grid: StructuredGrid, tensor: np.ndarray) -> np.ndarray:
+    """Per-element (ne, 8, 8) integrals of B^T tensor B: the stiffness blocks
+    for the elastic tensor C, the damping blocks for the viscous tensor eta."""
+    _, Bm = _reference_operators(grid.hx, grid.hy)
     dJ = grid.hx * grid.hy / 4.0
-    Ke = np.einsum("gai,ngab,gbj->nij", Bm, fields.C, Bm, optimize=True) * dJ
-    Ce = np.einsum("gai,ngab,gbj->nij", Bm, fields.eta, Bm, optimize=True) * dJ
+    return np.einsum("gai,ngab,gbj->nij", Bm, tensor, Bm, optimize=True) * dJ
+
+
+def mass_blocks(grid: StructuredGrid, rho: np.ndarray) -> np.ndarray:
+    """Per-element (ne, 8, 8) consistent mass blocks for Gauss-point rho."""
+    Nm, _ = _reference_operators(grid.hx, grid.hy)
+    dJ = grid.hx * grid.hy / 4.0
     NtN = np.einsum("gai,gaj->gij", Nm, Nm)
-    Me = np.einsum("ng,gij->nij", fields.rho, NtN) * dJ
-    return Me, Ce, Ke
+    return np.einsum("ng,gij->nij", rho, NtN) * dJ
 
 
 def _scatter(grid: StructuredGrid, blocks: np.ndarray) -> sparse.csr_matrix:
@@ -86,17 +91,18 @@ def _scatter(grid: StructuredGrid, blocks: np.ndarray) -> sparse.csr_matrix:
 
 
 def assemble(grid: StructuredGrid, fields: GaussPointFields, validate: bool = True):
-    """Global (M, C, K) csr matrices from Gauss-point material fields."""
+    """Global (M, K) csr matrices from Gauss-point material fields; the
+    viscosity-dependent damping matrix comes from ``damping_matrix``."""
     if validate:
         fields.validate()
-    Me, Ce, Ke = element_matrices(grid, fields)
-    return _scatter(grid, Me), _scatter(grid, Ce), _scatter(grid, Ke)
+    return (_scatter(grid, mass_blocks(grid, fields.rho)),
+            _scatter(grid, stiffness_blocks(grid, fields.C)))
 
 
 def damping_matrix(grid: StructuredGrid, fields: GaussPointFields) -> sparse.csr_matrix:
     """Global damping csr matrix alone, the only viscosity-dependent one."""
     fields.validate()
-    return _scatter(grid, element_matrices(grid, fields)[1])
+    return _scatter(grid, stiffness_blocks(grid, fields.eta))
 
 
 def averaging_operators(grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:

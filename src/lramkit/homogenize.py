@@ -115,7 +115,7 @@ class CellModes:
 
 
 def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
-                      rel_tol: float = 1e-7):
+                      rel_tol: float = modal.CLUSTER_RTOL):
     """Rotate (near-)degenerate eigenspaces so coupling columns decouple.
 
     Repeated eigenvalues of symmetric cells come back from the solver in an
@@ -186,7 +186,7 @@ def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
                keep_below_hz: float | None = 6000.0) -> CellModes:
     """Periodic quasi-static tensor and undamped modal basis of a cell, once
     per design; the viscosity in ``fields`` is ignored."""
-    M, _, K = fem.assemble(grid, fields)
+    M, K = fem.assemble(grid, fields)
     ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC_PINNED)
     volume = grid.area
     C_eff, Y_tilde = quasi_static(K, ops, volume)

@@ -1,8 +1,13 @@
 """Generalized eigensolver and relevance filtering.
 
 Solves (K - lambda M) phi = 0, real symmetric or complex Hermitian, for the
-smallest eigenpairs with mass-normalized modes. Small pencils go through a
-dense solve; larger ones through shift-inverted ARPACK with a fixed start.
+smallest eigenpairs with mass-normalized modes. Every pencil goes through
+one path: K - sigma M is factored once with a sparse LU and handed to
+ARPACK as the shift-invert operator, started from a fixed vector. The shift
+is zero unless the caller gives one; a zero shift whose factorization fails
+(singular K) falls back to a small negative one. ``solve_relevant`` grows
+the mode count on that one factorization. Only requests for (nearly) all
+eigenpairs, which ARPACK cannot serve, take a dense solve.
 
 Relevance of a mode is judged by its momentum coupling <rho phi>
 (restricted systems) or its mean displacement <phi> (unrestricted systems),
@@ -20,9 +25,10 @@ from scipy.sparse import linalg as spla
 
 from .errors import NoRelevantModeError, SolverFailureError
 
-DENSE_CUTOFF = 600
 _V0_SEED = 7
 _COUNT_CAP = 96
+# eigenvalues closer than this fraction of the largest one form one cluster
+CLUSTER_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,14 @@ class ModalSolution:
     @property
     def frequencies_hz(self) -> np.ndarray:
         return np.sqrt(np.clip(self.eigenvalues, 0.0, None)) / (2.0 * np.pi)
+
+
+@dataclass(frozen=True)
+class ShiftInvert:
+    """(K - sigma M)^-1 of one pencil as a sparse LU factorization."""
+
+    sigma: float
+    operator: spla.LinearOperator = field(repr=False)
 
 
 def _as_csr(A):
@@ -75,16 +89,44 @@ def _residuals(K, M, vals, vecs):
     return res
 
 
+def shift_invert(K, M, shift: float | None = None) -> ShiftInvert:
+    """Factor K - sigma M once for any number of solves of the pencil.
+
+    ``sigma`` is ``shift`` when given; with ``None`` a zero shift is tried
+    first and a small negative one if that factorization fails, so singular
+    K never kills the solve.
+    """
+    K, M = _as_csr(K), _as_csr(M)
+    if shift is not None:
+        sigmas = [float(shift)]
+    else:
+        fallback = -1e-8 * abs(K.diagonal().sum()) / max(abs(M.diagonal().sum()), 1e-300)
+        sigmas = [0.0, min(fallback, -1e-12)]
+    last_err: Exception | None = None
+    for sigma in sigmas:
+        A = K if sigma == 0.0 else K - sigma * M
+        # a real symmetric csr matrix is its own transpose, which is csc
+        A = A.tocsc() if np.iscomplexobj(A) else A.T
+        try:
+            lu = spla.splu(A)
+        except RuntimeError as err:
+            last_err = err
+            continue
+        return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=lu.solve,
+                                                      dtype=A.dtype))
+    raise SolverFailureError(f"shift-invert factorization failed: {last_err}")
+
+
 def solve_smallest(K, M, count: int, shift: float | None = None,
-                   system: str = "") -> ModalSolution:
+                   system: str = "", factor: ShiftInvert | None = None) -> ModalSolution:
     """The ``count`` algebraically smallest eigenpairs of the pencil (K, M).
 
     K must be real symmetric or complex Hermitian positive semidefinite
     (singular is fine: rigid modes are returned, not avoided), M likewise
-    positive definite. ``shift`` is the ARPACK shift-invert point; any value
-    below the smallest eigenvalue gives the same answer, only convergence
-    speed differs. With the default ``None`` a zero shift is tried first and
-    a small negative one on failure, so singular K never kills the solve.
+    positive definite. ``shift`` is the shift-invert point (see
+    ``shift_invert``); any value below the smallest eigenvalue gives the
+    same answer, only convergence speed differs. ``factor``, when given, is
+    a factorization of this pencil and ``shift`` is ignored.
     """
     K, M = _as_csr(K), _as_csr(M)
     n = K.shape[0]
@@ -93,55 +135,72 @@ def solve_smallest(K, M, count: int, shift: float | None = None,
         raise ValueError("count must be >= 1")
     count = min(count, n)
 
-    if n <= DENSE_CUTOFF or count >= n - 1:
+    if count >= n - 1:   # beyond what ARPACK can return
         vals, vecs = dla.eigh(K.toarray(), M.toarray())
         vals, vecs = vals[:count], vecs[:, :count]
         vals, vecs = _normalize(vals, vecs, M)
         return ModalSolution(vals, vecs, _residuals(K, M, vals, vecs), system)
 
+    if factor is None:
+        factor = shift_invert(K, M, shift)
     rng = np.random.default_rng(_V0_SEED)
     v0 = rng.standard_normal(n)
     if np.iscomplexobj(K) or np.iscomplexobj(M):
         v0 = v0.astype(complex)
+    try:
+        vals, vecs = spla.eigsh(K, k=count, M=M, sigma=factor.sigma,
+                                OPinv=factor.operator, which="LM", v0=v0)
+    except spla.ArpackNoConvergence as err:
+        raise SolverFailureError(
+            f"eigensolver did not converge ({len(err.eigenvalues)}/{count} modes)",
+            residuals=err.eigenvalues) from err
+    except (RuntimeError, ValueError, ArithmeticError) as err:
+        raise SolverFailureError(f"shift-invert eigensolve failed: {err}") from err
+    vals, vecs = _normalize(vals, vecs, M)
+    return ModalSolution(vals, vecs, _residuals(K, M, vals, vecs), system)
 
-    sigmas: list[float]
-    if shift is not None:
-        sigmas = [float(shift)]
-    else:
-        fallback = -1e-8 * abs(K.diagonal().sum()) / max(abs(M.diagonal().sum()), 1e-300)
-        sigmas = [0.0, min(fallback, -1e-12)]
 
-    last_err: Exception | None = None
-    for sigma in sigmas:
-        try:
-            vals, vecs = spla.eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
-        except spla.ArpackNoConvergence as err:
-            raise SolverFailureError(
-                f"eigensolver did not converge ({len(err.eigenvalues)}/{count} modes)",
-                residuals=err.eigenvalues) from err
-        except (RuntimeError, ValueError, ArithmeticError) as err:
-            last_err = err
-            continue
-        vals, vecs = _normalize(vals, vecs, M)
-        return ModalSolution(vals, vecs, _residuals(K, M, vals, vecs), system)
-    raise SolverFailureError(f"shift-invert factorization failed: {last_err}")
+def _without_top_cluster(sol: ModalSolution) -> ModalSolution:
+    """``sol`` minus the modes of its highest eigenvalue cluster."""
+    vals = sol.eigenvalues
+    tol = CLUSTER_RTOL * max(float(np.abs(vals).max()), 1e-300)
+    start = len(vals) - 1
+    while start > 0 and vals[start] - vals[start - 1] <= tol:
+        start -= 1
+    return ModalSolution(vals[:start], sol.modes[:, :start], sol.residuals[:start],
+                         sol.system)
 
 
 def solve_relevant(K, M, count: int, relevant, shift: float | None = None,
                    system: str = "", cover_hz: float | None = None):
     """(sol, relevant(sol)), doubling ``count`` up to min(_COUNT_CAP, n) while
     ``relevant`` raises NoRelevantModeError (re-raised at the cap) or, with
-    ``cover_hz`` given, while the highest computed mode lies below it."""
-    cap = min(_COUNT_CAP, K.shape[0])
+    ``cover_hz`` given, while the highest computed mode lies below it.
+
+    The pencil is factored once for all counts. When the cap stops the growth
+    short of ``cover_hz``, the top eigenvalue cluster is dropped before
+    ``relevant`` sees it: the rest of a degenerate cluster may lie above the
+    cap, and a partial cluster has no well-defined basis.
+    """
+    K, M = _as_csr(K), _as_csr(M)
+    n = K.shape[0]
+    cap = min(_COUNT_CAP, n)
+    factor = None
     while True:
-        sol = solve_smallest(K, M, count, shift=shift, system=system)
+        if factor is None and count < n - 1:
+            factor = shift_invert(K, M, shift)
+        sol = solve_smallest(K, M, count, system=system, factor=factor)
+        at_cap = count >= cap
+        short = cover_hz is not None and sol.frequencies_hz[-1] < cover_hz
+        if at_cap and short and count < n:
+            sol = _without_top_cluster(sol)
         try:
             picked = relevant(sol)
         except NoRelevantModeError:
-            if count >= cap:
+            if at_cap:
                 raise
         else:
-            if cover_hz is None or count >= cap or sol.frequencies_hz[-1] >= cover_hz:
+            if at_cap or not short:
                 return sol, picked
         count = min(2 * count, cap)
 

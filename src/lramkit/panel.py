@@ -51,7 +51,8 @@ class PanelModel:
             C=np.broadcast_to(em.C_eff, (ne, 4, 3, 3)).copy(),
             eta=np.broadcast_to(em.eta_eff, (ne, 4, 3, 3)).copy(),
         )
-        _, self._C, self._K = fem.assemble(self.grid, fields)
+        _, self._K = fem.assemble(self.grid, fields)
+        self._C = fem.damping_matrix(self.grid, fields)
         self._Gxx, self._Gyy, self._Gxy = fem.mass_templates(self.grid)
         self._build_partitions()
 

@@ -18,7 +18,7 @@ import scipy
 
 from . import __version__, dispersion, homogenize, rve, topopt
 from . import panel as panel_mod
-from .config import PipelineConfig, load_materials, validate
+from .config import PipelineConfig, load_materials, read_phi, validate
 from .errors import ConfigError, LramError
 from .grid import build_grid
 from .topopt import HistoryRow
@@ -38,14 +38,6 @@ def write_phi(phi_grid: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         for row in phi_grid:
             fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
-
-
-def read_phi(path, nx: int, ny: int) -> np.ndarray:
-    data = np.loadtxt(path)
-    if data.shape != (ny + 1, nx + 1):
-        raise ConfigError(f"level-set file {path} has shape {data.shape}, "
-                          f"expected {(ny + 1, nx + 1)}")
-    return data.ravel()
 
 
 def _mu_tag(mu: float) -> str:
@@ -149,6 +141,11 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
             cell = homogenize.cell_modes(grid, fields, count=cfg.modes,
                                          delta_tol=cfg.delta_tol,
                                          keep_below_hz=cfg.mode_ceiling_hz)
+            top_hz = cell.solution.frequencies_hz[-1]
+            if top_hz < cfg.mode_ceiling_hz and cell.solution.count < cell.P.shape[1]:
+                log(f"warning: the cell modes stop at {top_hz:.2f} Hz, short of the "
+                    f"{cfg.mode_ceiling_hz:g} Hz mode ceiling; resonances above it "
+                    "are left out of the effective material")
             for mu in cfg.viscosities:
                 phases_mu = replace(phases_true, soft=soft.with_viscosity(mu))
                 em = homogenize.effective_material(

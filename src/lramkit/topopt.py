@@ -133,7 +133,7 @@ class OptimizerSettings:
     max_iters: int = 1000
     stop_tol: float = 1e-7
     delta_tol: float = 1e-3
-    modal_count: int = 12
+    modal_count: int = 2
     increase_tol: float = 0.005      # accepted relative cost increase per step
     scan_up: int = 8                 # step-scale doublings probed per iteration
     scan_down: int = 12              # step-scale halvings probed per iteration
@@ -196,7 +196,7 @@ def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet
     """Assemble and solve both reduced modal problems for one design."""
     grid = layout.grid
     fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
-    M, _, K = fem.assemble(grid, fields, validate=False)
+    M, K = fem.assemble(grid, fields, validate=False)
     volume = grid.area
 
     shift_free = -(2.0 * math.pi * max(settings.target_f_hz / 10.0, 10.0)) ** 2

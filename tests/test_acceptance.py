@@ -301,7 +301,7 @@ class TestCriterion10SensitivityCorrectness:
 
         def solve(chi_in):
             fields = rve.material_fields(layout, chi_in, phases)
-            M, _, K = fem.assemble(g, fields, validate=False)
+            M, K = fem.assemble(g, fields, validate=False)
             return dense_modal((ops.P.T @ K @ ops.P).toarray(),
                                (ops.P.T @ M @ ops.P).toarray())
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lramkit import cli, homogenize, pipeline
+from lramkit import cli, homogenize, modal, pipeline
 from lramkit.config import (
     Diagnostic,
     load_config,
@@ -171,7 +171,7 @@ class TestValidate:
 
     def test_stage_skip_with_level_set_ok(self, tmp_path):
         phi = tmp_path / "phi.txt"
-        phi.write_text("0\n")
+        _write_phi_design(phi, nx=60, ny=60)   # the default grid
         cfg = parse_config(f"[output]\nstages = homogenize\nlevel_set_file = {phi}\n")
         assert not self._errors(cfg)
 
@@ -184,8 +184,10 @@ class TestValidate:
         "[grid]\nnx = 3\nny = 3\n",
         "[materials]\ninterpolation_exponent = -1\n",
         "[output]\nstages = homogenize\nlevel_set_file = {tmp}/missing_phi.txt\n",
+        "[output]\nstages = homogenize\nlevel_set_file = {tmp}/phi_2x2.txt\n",
     ])
     def test_configs_that_would_crash_are_rejected(self, tmp_path, text):
+        (tmp_path / "phi_2x2.txt").write_text("1 1\n1 1\n")   # wrong shape
         cfg = parse_config(text.format(tmp=tmp_path))
         assert self._errors(cfg)
         cfg.out_dir = str(tmp_path / "never")
@@ -286,6 +288,17 @@ class TestPipelineRun:
         assert result.exit_code == 2
         manifest = json.loads((result.out_dir / "failure_manifest.json").read_text())
         assert "synthetic failure" in manifest["error"]
+
+    def test_uncovered_mode_ceiling_is_logged(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(modal, "_COUNT_CAP", 4)
+        cfg = load_config(_gated_config(tmp_path))
+        cfg.modes = 2
+        cfg.band_top_hz = 1e6    # far above the 4 modes the cap allows
+        cfg.stages = ("homogenize",)
+        lines = []
+        result = pipeline.run(cfg, log=lines.append)
+        assert result.exit_code == 0
+        assert any("mode ceiling" in line for line in lines)
 
     def test_read_phi_shape_check(self, tmp_path):
         p = tmp_path / "phi.txt"

@@ -25,7 +25,8 @@ class TestElementMatrices:
         fields = fields.__class__(rho=np.full((ne, 4), rho),
                                   C=np.broadcast_to(C, (ne, 4, 3, 3)).copy(),
                                   eta=np.zeros((ne, 4, 3, 3)))
-        Me, Ce, Ke = fem.element_matrices(g, fields)
+        Me, Ce, Ke = (fem.mass_blocks(g, fields.rho), fem.stiffness_blocks(g, fields.eta),
+                      fem.stiffness_blocks(g, fields.C))
         K_exact, M_exact = q4_element_matrices_symbolic(g.hx, g.hy, C, rho)
         np.testing.assert_allclose(Ke[0], K_exact, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(Me[0], M_exact, rtol=1e-12, atol=1e-15)
@@ -34,7 +35,7 @@ class TestElementMatrices:
     def test_stiffness_nullity_three(self, epoxy):
         g = build_grid(2, 2, 1.0)
         fields = uniform_fields(g, epoxy)
-        _, _, Ke = fem.element_matrices(g, fields)
+        Ke = fem.stiffness_blocks(g, fields.C)
         vals = np.linalg.eigvalsh(Ke[0])
         scale = vals.max()
         assert np.sum(np.abs(vals) < 1e-12 * scale) == 3  # 2 translations + rotation
@@ -42,15 +43,16 @@ class TestElementMatrices:
     def test_blocks_symmetric(self, epoxy):
         g = build_grid(3, 3, 0.01)
         fields = uniform_fields(g, epoxy.with_viscosity(2.0))
-        Me, Ce, Ke = fem.element_matrices(g, fields)
+        Me, Ce, Ke = (fem.mass_blocks(g, fields.rho), fem.stiffness_blocks(g, fields.eta),
+                      fem.stiffness_blocks(g, fields.C))
         for blk in (Me, Ce, Ke):
             np.testing.assert_allclose(blk, np.swapaxes(blk, 1, 2), rtol=1e-13)
 
     def test_damping_zero_only_without_viscosity(self, epoxy):
         g = build_grid(2, 2, 1.0)
-        _, Ce, _ = fem.element_matrices(g, uniform_fields(g, epoxy))
+        Ce = fem.stiffness_blocks(g, uniform_fields(g, epoxy).eta)
         assert np.all(Ce == 0.0)
-        _, Ce, _ = fem.element_matrices(g, uniform_fields(g, epoxy.with_viscosity(1.0)))
+        Ce = fem.stiffness_blocks(g, uniform_fields(g, epoxy.with_viscosity(1.0)).eta)
         assert np.abs(Ce).max() > 0.0
 
 
@@ -62,18 +64,20 @@ def _phase_like(rho):
 class TestAssemble:
     def test_total_epoxy_mass(self, epoxy):
         g = build_grid(10, 10, 0.01)
-        M, _, _ = fem.assemble(g, uniform_fields(g, epoxy))
+        M, _ = fem.assemble(g, uniform_fields(g, epoxy))
         _, I_rigid = fem.kinematic_basis(g)
         assert fem.total_mass(M, I_rigid) == pytest.approx(1180.0 * 1e-4, rel=1e-12)
 
     def test_zero_viscosity_zero_damping(self, epoxy):
         g = build_grid(4, 4, 1.0)
-        _, C, _ = fem.assemble(g, uniform_fields(g, epoxy))
+        C = fem.damping_matrix(g, uniform_fields(g, epoxy))
         assert C.nnz == 0 or np.abs(C.data).max() == 0.0
 
     def test_shared_sparsity_and_symmetry(self, rubber):
         g = build_grid(5, 4, 0.3)
-        M, C, K = fem.assemble(g, uniform_fields(g, rubber.with_viscosity(1.0)))
+        fields = uniform_fields(g, rubber.with_viscosity(1.0))
+        M, K = fem.assemble(g, fields)
+        C = fem.damping_matrix(g, fields)
         for A in (M, C, K):
             d = (A - A.T).tocoo()
             assert np.abs(d.data).max() if d.nnz else 0.0 <= 1e-9 * np.abs(A.data).max()
@@ -81,7 +85,7 @@ class TestAssemble:
 
     def test_spd_mass_psd_stiffness(self, steel):
         g = build_grid(4, 4, 0.02)
-        M, _, K = fem.assemble(g, uniform_fields(g, steel))
+        M, K = fem.assemble(g, uniform_fields(g, steel))
         mv = np.linalg.eigvalsh(M.toarray())
         kv = np.linalg.eigvalsh(K.toarray())
         assert mv.min() > 0.0
@@ -97,8 +101,9 @@ class TestAssemble:
     def test_deterministic_assembly(self, epoxy):
         g = build_grid(6, 6, 0.01)
         f = uniform_fields(g, epoxy.with_viscosity(0.5))
-        M1, C1, K1 = fem.assemble(g, f)
-        M2, C2, K2 = fem.assemble(g, f)
+        M1, K1 = fem.assemble(g, f)
+        M2, K2 = fem.assemble(g, f)
+        C1, C2 = fem.damping_matrix(g, f), fem.damping_matrix(g, f)
         assert (K1 != K2).nnz == 0
         assert (M1 != M2).nnz == 0
         assert (C1 != C2).nnz == 0
@@ -124,7 +129,9 @@ class TestKinematicOperators:
 
     def test_rigid_in_both_kernels(self, epoxy):
         g = build_grid(4, 3, 0.5)
-        M, C, K = fem.assemble(g, uniform_fields(g, epoxy.with_viscosity(2.0)))
+        fields = uniform_fields(g, epoxy.with_viscosity(2.0))
+        M, K = fem.assemble(g, fields)
+        C = fem.damping_matrix(g, fields)
         _, I_rigid = fem.kinematic_basis(g)
         assert np.abs(K @ I_rigid).max() <= 1e-12 * np.abs(K.data).max()
         assert np.abs(C @ I_rigid).max() <= 1e-12 * np.abs(C.data).max()
@@ -137,7 +144,7 @@ class TestKinematicOperators:
         fields = uniform_fields(g, epoxy).__class__(
             rho=rho, C=np.broadcast_to(C, (g.nelem, 4, 3, 3)).copy(),
             eta=np.zeros((g.nelem, 4, 3, 3)))
-        M, _, _ = fem.assemble(g, fields)
+        M, _ = fem.assemble(g, fields)
         _, I_rigid = fem.kinematic_basis(g)
         avg = fem.total_mass(M, I_rigid) / g.area
         assert avg == pytest.approx(rho.mean(), rel=1e-12)
@@ -196,7 +203,7 @@ class TestMassTemplates:
         g = build_grid(4, 3, 0.7)
         Gxx, Gyy, Gxy = fem.mass_templates(g)
         fields = uniform_fields(g, _phase_like(1.0))
-        M, _, _ = fem.assemble(g, fields)
+        M, _ = fem.assemble(g, fields)
         np.testing.assert_allclose((Gxx + Gyy).toarray(), M.toarray(), rtol=1e-12)
         # xy template couples the two directions symmetrically
         np.testing.assert_allclose(Gxy.toarray(), Gxy.toarray().T, rtol=1e-12)

@@ -16,7 +16,7 @@ class TestSolveSmallest:
         assert sol.eigenvalues[0] == pytest.approx(4.0)
         assert abs(sol.modes[0, 0]) == pytest.approx(1.0)
 
-    def test_matches_dense_oracle_dense_path(self):
+    def test_matches_dense_oracle_full_pencil(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((50, 50))
         K = A @ A.T + 50 * np.eye(50)
@@ -40,7 +40,7 @@ class TestSolveSmallest:
 
     def test_rigid_mode_retained(self, epoxy):
         g = build_grid(16, 16, 0.01)
-        M, _, K = fem.assemble(g, uniform_fields(g, epoxy))
+        M, K = fem.assemble(g, uniform_fields(g, epoxy))
         ops = fem.build_constraints(g, fem.BoundaryCondition.FREE,
                                     horizontal_only=True)
         Kr = ops.P.T @ K @ ops.P
@@ -72,15 +72,15 @@ class TestSolveSmallest:
 
     def test_residual_invariant(self, epoxy):
         g = build_grid(10, 10, 0.01)
-        M, _, K = fem.assemble(g, uniform_fields(g, epoxy))
+        M, K = fem.assemble(g, uniform_fields(g, epoxy))
         ops = fem.build_constraints(g, fem.BoundaryCondition.FULLY_PRESCRIBED)
         sol = modal.solve_smallest(ops.P.T @ K @ ops.P, ops.P.T @ M @ ops.P, 6)
         assert sol.residuals.max() <= 1e-8
 
 
-    @pytest.mark.parametrize("n", [50, modal.DENSE_CUTOFF + 100])
+    @pytest.mark.parametrize("n", [50, 700])
     def test_hermitian_matches_dense_eigh(self, n):
-        # complex Hermitian tridiagonal pencil, on both sides of DENSE_CUTOFF
+        # complex Hermitian tridiagonal pencil, small and large
         rng = np.random.default_rng(17)
         diag = rng.uniform(2.0, 3.0, n)
         off = rng.uniform(0.3, 0.8, n - 1) * np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
@@ -129,6 +129,37 @@ class TestSolveRelevant:
         assert counts == [2, 4, 8]
         assert sol.frequencies_hz[-1] >= cover
         assert rel.tolist() == list(range(8))
+
+    def test_factors_once(self, monkeypatch):
+        factorizations = []
+        splu = modal.spla.splu
+
+        def counting_splu(A, *args, **kwargs):
+            factorizations.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(modal.spla, "splu", counting_splu)
+        counts = []
+        lam = 0.5 * (self.vals[5] + self.vals[6])
+        sol, _ = modal.solve_relevant(self.K, self.M, 2, self._above(lam, counts))
+        assert counts == [2, 4, 8]
+        assert len(factorizations) == 1
+        direct = modal.solve_smallest(self.K, self.M, 8)
+        np.testing.assert_array_equal(sol.eigenvalues, direct.eigenvalues)
+        np.testing.assert_array_equal(sol.modes, direct.modes)
+
+    def test_cap_drops_split_top_cluster(self, monkeypatch):
+        # exact pairs 1, 1, 2, 2, ..., 6, 6: a cap of 5 computes one half of
+        # the third pair, whose partner lies above the cap
+        K = np.diag(np.repeat(np.arange(1.0, 7.0), 2))
+        M = np.eye(12)
+        monkeypatch.setattr(modal, "_COUNT_CAP", 5)
+        counts = []
+        sol, rel = modal.solve_relevant(K, M, 2, self._above(0.0, counts),
+                                        cover_hz=10.0)
+        assert counts == [2, 4, 4]      # solved at 2, 4 and 5; the last trimmed
+        np.testing.assert_allclose(sol.eigenvalues, [1.0, 1.0, 2.0, 2.0], rtol=1e-12)
+        assert rel.tolist() == [0, 1, 2, 3]
 
 
 class TestRestrictedRelevance:

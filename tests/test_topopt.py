@@ -163,7 +163,7 @@ class TestSensitivityVsBruteForce:
 
         def lam1(chi_in):
             fields = rve.material_fields(layout, chi_in, phases)
-            M, _, K = fem.assemble(g, fields, validate=False)
+            M, K = fem.assemble(g, fields, validate=False)
             vals, vecs = dense_modal((ops.P.T @ K @ ops.P).toarray(),
                                      (ops.P.T @ M @ ops.P).toarray())
             return vals[0], vecs
@@ -255,3 +255,42 @@ class TestOptimize:
         for row in res.history:
             assert row.vol_frac_dense + row.vol_frac_soft == pytest.approx(design_frac)
             assert 0.0 <= row.Pi <= 1.0
+
+
+class TestOptimizerPencils:
+    """Eigen residuals of the scaled (quasi-rigid frame, quasi-massless coating)
+    restricted pencil of the optimizer, on a steel disk at 20x20."""
+
+    def test_restricted_solve_accurate(self, epoxy, steel, rubber, monkeypatch):
+        g = build_grid(20, 20, 0.01)
+        layout = rve.build_layout(g, 0.05)
+        phases = rve.scaled_phases(epoxy, steel, rubber)
+        xy = g.coords - g.centroid
+        chi = rve.chi_at_gauss(layout, 0.003 - np.hypot(xy[:, 0], xy[:, 1]))
+        st = topopt.OptimizerSettings(target_f_hz=1000.0, alpha=0.5)
+        ops_r = fem.build_constraints(g, fem.BoundaryCondition.FULLY_PRESCRIBED,
+                                      horizontal_only=True)
+        ops_u = fem.build_constraints(g, fem.BoundaryCondition.FREE,
+                                      horizontal_only=True)
+        ana = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
+        assert ana.restricted.residuals.max() <= 1e-8
+
+        # one ulp more on every stiffness entry: lambda*_1 must move as the
+        # pencil itself does to first order, phi^T dK phi for the normalized mode
+        assemble = fem.assemble
+
+        def bumped(*args, **kwargs):
+            M, K = assemble(*args, **kwargs)
+            K = K.copy()
+            K.data *= 1.0 + 2.0 ** -52
+            return M, K
+
+        monkeypatch.setattr(fem, "assemble", bumped)
+        ana2 = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
+        fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
+        _, K = assemble(g, fields, validate=False)
+        _, K2 = bumped(g, fields, validate=False)
+        phi = ana.mode_star
+        predicted = float(phi @ ((K2 - K) @ phi)) / ana.lambda_star1
+        moved = ana2.lambda_star1 / ana.lambda_star1 - 1.0
+        assert abs(moved - predicted) <= 1e-10
