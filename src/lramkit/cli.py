@@ -9,7 +9,7 @@ Verbs select how far down the pipeline a run goes:
     lramkit transmission --config run.cfg
     lramkit pipeline     --config run.cfg [--stage STAGE]
 
-Exit codes: 0 ok, 1 configuration error, 2 numerical failure.
+Exit codes: 0 ok, 1 configuration error, 2 failure inside a stage.
 """
 from __future__ import annotations
 

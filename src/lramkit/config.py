@@ -99,7 +99,6 @@ class PipelineConfig:
     out_dir: str = "out"
     stages: tuple[str, ...] = STAGES
     level_set_file: str | None = None
-    deterministic: bool = True   # informational: no stochastic fields anywhere
 
     raw_text: str = field(default="", repr=False)
     path: str | None = None
@@ -159,7 +158,7 @@ def parse_config(text: str, path: str | None = None) -> PipelineConfig:
                 elif key == "level_set_file":
                     cfg.level_set_file = value or None
                 elif key == "deterministic":
-                    cfg.deterministic = value.lower() in ("1", "true", "yes")
+                    pass   # retired informational key; old configs still parse
                 else:
                     setattr(cfg, attr, _SCHEMA[sec][key](value))
             except ValueError as err:

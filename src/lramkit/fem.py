@@ -16,6 +16,7 @@ uniform rectangular grids used here.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,10 @@ def shape_gradients(xi: float, eta: float) -> np.ndarray:
                             [-(1 + eta), (1 - xi)]])
 
 
+@functools.lru_cache(maxsize=8)
 def _reference_operators(hx: float, hy: float):
-    """Per-Gauss-point N (2x8) and B (3x8) blocks for an hx-by-hy element."""
+    """Per-Gauss-point N (2x8) and B (3x8) blocks for an hx-by-hy element
+    (cached and read-only)."""
     Nmats = np.zeros((4, 2, 8))
     Bmats = np.zeros((4, 3, 8))
     for g, (xi, eta) in enumerate(GAUSS_POINTS):
@@ -62,32 +65,60 @@ def _reference_operators(hx: float, hy: float):
         Bmats[g, 1, 1::2] = dNdy
         Bmats[g, 2, 0::2] = dNdy
         Bmats[g, 2, 1::2] = dNdx
+    Nmats.flags.writeable = False
+    Bmats.flags.writeable = False
     return Nmats, Bmats
+
+
+@functools.lru_cache(maxsize=8)
+def _element_templates(hx: float, hy: float):
+    """(36, 64) and (4, 64) templates: an element's flattened 8x8 block is
+    C_gp.reshape(36) @ stiffness template, or rho_gp @ mass template, since
+    it is linear in the Gauss-point tensor and density."""
+    Nm, Bm = _reference_operators(hx, hy)
+    dJ = hx * hy / 4.0
+    stiff = np.einsum("gai,gbj->gabij", Bm, Bm).reshape(36, 64) * dJ
+    mass = np.einsum("gai,gaj->gij", Nm, Nm).reshape(4, 64) * dJ
+    stiff.flags.writeable = False
+    mass.flags.writeable = False
+    return stiff, mass
 
 
 def stiffness_blocks(grid: StructuredGrid, tensor: np.ndarray) -> np.ndarray:
     """Per-element (ne, 8, 8) integrals of B^T tensor B: the stiffness blocks
     for the elastic tensor C, the damping blocks for the viscous tensor eta."""
-    _, Bm = _reference_operators(grid.hx, grid.hy)
-    dJ = grid.hx * grid.hy / 4.0
-    return np.einsum("gai,ngab,gbj->nij", Bm, tensor, Bm, optimize=True) * dJ
+    stiff, _ = _element_templates(grid.hx, grid.hy)
+    return (tensor.reshape(-1, 36) @ stiff).reshape(-1, 8, 8)
 
 
 def mass_blocks(grid: StructuredGrid, rho: np.ndarray) -> np.ndarray:
     """Per-element (ne, 8, 8) consistent mass blocks for Gauss-point rho."""
-    Nm, _ = _reference_operators(grid.hx, grid.hy)
-    dJ = grid.hx * grid.hy / 4.0
-    NtN = np.einsum("gai,gaj->gij", Nm, Nm)
-    return np.einsum("ng,gij->nij", rho, NtN) * dJ
+    _, mass = _element_templates(grid.hx, grid.hy)
+    return (rho @ mass).reshape(-1, 8, 8)
+
+
+@functools.lru_cache(maxsize=8)
+def _pattern(ndof: int, dof_bytes: bytes):
+    """CSR ``indptr``/``indices`` of one connectivity plus the slot of every
+    element-block entry, keyed by the raw element-dof array. The arrays are
+    read-only because every matrix of the connectivity shares them."""
+    dofs = np.frombuffer(dof_bytes, dtype=np.int64).reshape(-1, 8)
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    keys, slot = np.unique(rows * ndof + cols, return_inverse=True)
+    indptr = np.zeros(ndof + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // ndof, minlength=ndof), out=indptr[1:])
+    indices = (keys % ndof).astype(np.int32)
+    for arr in (indptr, indices, slot):
+        arr.flags.writeable = False
+    return indptr, indices, slot
 
 
 def _scatter(grid: StructuredGrid, blocks: np.ndarray) -> sparse.csr_matrix:
-    dofs = grid.element_dofs()
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    mat = sparse.coo_matrix((blocks.ravel(), (rows, cols)),
-                            shape=(grid.ndof, grid.ndof))
-    return mat.tocsr()
+    """Sum (ne, 8, 8) element blocks into the connectivity's fixed pattern."""
+    indptr, indices, slot = _pattern(grid.ndof, grid.element_dofs().tobytes())
+    data = np.bincount(slot, weights=blocks.ravel(), minlength=len(indices))
+    return sparse.csr_matrix((data, indices, indptr), shape=(grid.ndof, grid.ndof))
 
 
 def assemble(grid: StructuredGrid, fields: GaussPointFields, validate: bool = True):
@@ -281,7 +312,7 @@ def mass_templates(grid: StructuredGrid):
     }
     for key in ("xx", "yy", "xy"):
         blocks = np.einsum("gai,ab,gbj->ij", Nm, mats[key], Nm) * dJ
-        out.append(_scatter(grid, np.broadcast_to(blocks, (grid.nelem, 8, 8)).copy()))
+        out.append(_scatter(grid, np.broadcast_to(blocks, (grid.nelem, 8, 8))))
     return tuple(out)
 
 

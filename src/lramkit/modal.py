@@ -9,6 +9,13 @@ is zero unless the caller gives one; a zero shift whose factorization fails
 the mode count on that one factorization. Only requests for (nearly) all
 eigenpairs, which ARPACK cannot serve, take a dense solve.
 
+Precondition: the shift lies below the pencil's spectrum, so K - sigma M is
+positive definite. The factorization relies on it: it uses a symmetric
+minimum-degree ordering and takes its pivots from the diagonal without
+searching. The optimizer shifts by 0 (restricted) and by a negative value
+(free), homogenization by 0 with the corners pinned, the Bloch solves by
+-(2 pi 5 Hz)^2.
+
 Relevance of a mode is judged by its momentum coupling <rho phi>
 (restricted systems) or its mean displacement <phi> (unrestricted systems),
 normalized by the corresponding value of a mass-normalized rigid
@@ -108,7 +115,8 @@ def shift_invert(K, M, shift: float | None = None) -> ShiftInvert:
         # a real symmetric csr matrix is its own transpose, which is csc
         A = A.tocsc() if np.iscomplexobj(A) else A.T
         try:
-            lu = spla.splu(A)
+            lu = spla.splu(A, permc_spec="MMD_ATA", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
         except RuntimeError as err:
             last_err = err
             continue

@@ -52,8 +52,10 @@ class PanelModel:
             eta=np.broadcast_to(em.eta_eff, (ne, 4, 3, 3)).copy(),
         )
         _, self._K = fem.assemble(self.grid, fields)
-        self._C = fem.damping_matrix(self.grid, fields)
-        self._Gxx, self._Gyy, self._Gxy = fem.mass_templates(self.grid)
+        C = fem.damping_matrix(self.grid, fields)
+        # dense copies: the macro matrix is rebuilt densely at every frequency
+        self._dense = tuple(A.toarray() for A in
+                            (self._K, C) + fem.mass_templates(self.grid))
         self._build_partitions()
 
     def _build_partitions(self):
@@ -113,10 +115,9 @@ class PanelModel:
 def assemble_macro(panel: PanelModel, omega: float) -> np.ndarray:
     """Dense complex dynamic matrix D(w) = K - i w C - w^2 M(w)."""
     rho = effective_density(panel.em, omega)
-    M = (rho[0, 0] * panel._Gxx + rho[1, 1] * panel._Gyy
-         + rho[0, 1] * panel._Gxy).toarray()
-    return (panel._K.toarray() - 1j * omega * panel._C.toarray()
-            - omega ** 2 * M).astype(complex)
+    K, C, Gxx, Gyy, Gxy = panel._dense
+    M = rho[0, 0] * Gxx + rho[1, 1] * Gyy + rho[0, 1] * Gxy
+    return (K - 1j * omega * C - omega ** 2 * M).astype(complex)
 
 
 def solve_RT(panel: PanelModel, omega: float) -> tuple[complex, complex]:

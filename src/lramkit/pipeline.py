@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import scipy
 from . import __version__, dispersion, homogenize, rve, topopt
 from . import panel as panel_mod
 from .config import PipelineConfig, load_materials, read_phi, validate
-from .errors import ConfigError, LramError
+from .errors import ConfigError
 from .grid import build_grid
 from .topopt import HistoryRow
 
@@ -55,7 +56,7 @@ class RunResult:
 
 def run(cfg: PipelineConfig, log=print) -> RunResult:
     """Execute the configured stages; returns artifacts and an exit code
-    (0 ok, 1 config error, 2 numerical failure)."""
+    (0 ok, 1 config error, 2 any failure inside a stage)."""
     t_start = time.time()
     out = Path(cfg.out_dir)
     result = RunResult(exit_code=0, out_dir=out)
@@ -83,6 +84,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
     soft = registry[cfg.soft]
 
     stage_error: str | None = None
+    stage_traceback: str | None = None
     try:
         # ---- stage: optimize -------------------------------------------
         if "optimize" in cfg.stages:
@@ -187,8 +189,9 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                 emit(p)
                 for f_bad, msg in tl.failures:
                     log(f"warning: sample {f_bad:.2f} Hz failed: {msg}")
-    except LramError as exc:
+    except Exception as exc:   # any stage failure is exit 2, never a traceback
         stage_error = f"{type(exc).__name__}: {exc}"
+        stage_traceback = traceback.format_exc()   # kept in the manifest, not printed
         log(f"stage failed: {stage_error}")
         result.exit_code = 2
 
@@ -198,10 +201,10 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
         "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
         "config_path": cfg.path,
         "config_echo": cfg.raw_text,
-        "deterministic": cfg.deterministic,
         "stages": list(cfg.stages),
         "wall_time_s": time.time() - t_start,
         "error": stage_error,
+        "traceback": stage_traceback,
         "files": [
             {"path": p.name,
              "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}

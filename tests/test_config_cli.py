@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lramkit import cli, homogenize, modal, pipeline
+from lramkit import cli, dispersion, homogenize, modal, pipeline
 from lramkit.config import (
     Diagnostic,
     load_config,
@@ -195,6 +195,13 @@ class TestValidate:
         assert result.exit_code == 1
         assert not (tmp_path / "never").exists()
 
+    def test_retired_deterministic_key_still_parses(self, tmp_path):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("[output]\ndeterministic = yes\n")
+        cfg = load_config(cfg_file)
+        assert not self._errors(cfg)
+        assert not hasattr(cfg, "deterministic")
+
     def test_diagnostic_str(self):
         d = Diagnostic("error", "boom", line=4)
         assert "line 4" in str(d) and "boom" in str(d)
@@ -288,6 +295,23 @@ class TestPipelineRun:
         assert result.exit_code == 2
         manifest = json.loads((result.out_dir / "failure_manifest.json").read_text())
         assert "synthetic failure" in manifest["error"]
+
+    def test_any_stage_exception_exits_two(self, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic singular matrix")
+
+        monkeypatch.setattr(dispersion, "bloch_oracle", boom)
+        cfg_file = _gated_config(tmp_path, out_name="cli_out")
+        assert cli.main(["pipeline", "--config", str(cfg_file)]) == 2
+        out = tmp_path / "cli_out"
+        manifest = json.loads((out / "failure_manifest.json").read_text())
+        assert manifest["error"] == "LinAlgError: synthetic singular matrix"
+        assert "deterministic" not in manifest
+        assert "in boom" in manifest["traceback"]   # recorded, not printed
+        assert not (out / "manifest.json").exists()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "stage failed: LinAlgError" in captured.out
 
     def test_uncovered_mode_ceiling_is_logged(self, tmp_path, monkeypatch):
         monkeypatch.setattr(modal, "_COUNT_CAP", 4)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lramkit import fem
 from lramkit.errors import InvalidMaterialError, MeshIncompatibilityError
@@ -107,6 +110,60 @@ class TestAssemble:
         assert (K1 != K2).nnz == 0
         assert (M1 != M2).nnz == 0
         assert (C1 != C2).nnz == 0
+
+
+def _coo_reference(grid, blocks):
+    """Element blocks summed by COO -> CSR, independently of fem's pattern."""
+    dofs = grid.element_dofs()
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    return sparse.coo_matrix((blocks.ravel(), (rows, cols)),
+                             shape=(grid.ndof, grid.ndof)).toarray()
+
+
+def _einsum_blocks(grid, rho, C, eta):
+    """Reference (mass, damping, stiffness) element blocks by direct
+    Gauss-point summation of N^T rho N and B^T tensor B."""
+    Nm, Bm = fem._reference_operators(grid.hx, grid.hy)
+    dJ = grid.hx * grid.hy / 4.0
+    mass = np.einsum("ng,gai,gaj->nij", rho, Nm, Nm) * dJ
+    stiff = [np.einsum("gai,ngab,gbj->nij", Bm, T, Bm) * dJ for T in (eta, C)]
+    return mass, stiff[0], stiff[1]
+
+
+class TestFixedPatternAssembly:
+    def test_matches_coo_reference(self, epoxy):
+        """Rectangular grids of two sizes, plus one with the same nx, ny but
+        its elements listed in reverse, in one process: the cached pattern
+        must follow the connectivity, not the grid dimensions."""
+        rng = np.random.default_rng(11)
+        g74 = build_grid(7, 4, 0.01)
+        grids = [g74, build_grid(3, 5, 0.02),
+                 dataclasses.replace(g74, elements=g74.elements[::-1].copy()), g74]
+        for g in grids:
+            ne = g.nelem
+            L = rng.standard_normal((ne, 4, 3, 3))
+            C = np.einsum("ngab,ngcb->ngac", L, L) + 3.0 * np.eye(3)
+            eta = 1e-3 * np.einsum("ngab,ngcb->ngac", L[::-1], L[::-1])
+            rho = rng.uniform(1000.0, 9000.0, size=(ne, 4))
+            fields = uniform_fields(g, epoxy).__class__(rho=rho, C=C, eta=eta)
+            M, K = fem.assemble(g, fields)
+            D = fem.damping_matrix(g, fields)
+            for A, blocks in zip((M, D, K), _einsum_blocks(g, rho, C, eta)):
+                ref = _coo_reference(g, blocks)
+                assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+            G = fem.mass_templates(g)
+            Nm, _ = fem._reference_operators(g.hx, g.hy)
+            dJ = g.hx * g.hy / 4.0
+            for A, R in zip(G, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                                np.array([[0.0, 1.0], [1.0, 0.0]]))):
+                blk = np.einsum("gai,ab,gbj->ij", Nm, R, Nm) * dJ
+                ref = _coo_reference(g, np.broadcast_to(blk, (ne, 8, 8)))
+                assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+            for A in (D, K) + G:
+                assert A.has_canonical_format
+                assert np.shares_memory(A.indptr, M.indptr)
+                assert np.shares_memory(A.indices, M.indices)
 
 
 class TestKinematicOperators:
