@@ -250,7 +250,8 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
         err(f"need 0 < f_min < f_max, got [{cfg.f_min_hz}, {cfg.f_max_hz}]")
     if any(v < 0 for v in cfg.viscosities):
         err(f"viscosities must be >= 0, got {cfg.viscosities}")
-    for name in ("modes", "bloch_branches", "kappa_samples", "panel_cells"):
+    for name in ("modes", "bloch_branches", "kappa_samples", "panel_cells",
+                 "snapshot_every"):
         if getattr(cfg, name) < 1:
             err(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if cfg.macro_nx < 2 or cfg.macro_ny < 2:

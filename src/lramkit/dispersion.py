@@ -8,6 +8,7 @@ longitudinal branches can be compared against the effective prediction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -93,30 +94,47 @@ def effective_dispersion(em: EffectiveMaterial, freqs_hz, axis: int = 0,
                            kappa_norm=kappa * em.cell_size / math.pi)
 
 
+@functools.lru_cache(maxsize=8)
+def _bloch_pattern(nx: int, ny: int):
+    """CSR ``indptr``/``indices`` of the Bloch map of an nx x ny grid plus the
+    mask of its phased entries (the nodes with i = nx). Every row holds one
+    entry; the arrays are read-only because every kappa shares them."""
+    j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
+    master = (j % ny) * nx + i % nx
+    indices = (2 * master[:, None] + np.arange(2)).ravel().astype(np.int32)
+    indptr = np.arange(len(indices) + 1, dtype=np.int32)
+    phased = np.repeat(i == nx, 2)
+    for arr in (indptr, indices, phased):
+        arr.flags.writeable = False
+    return indptr, indices, phased
+
+
 def bloch_transform(grid: StructuredGrid, kappa: float) -> sparse.csr_matrix:
     """Master-slave map enforcing u(x + L) = e^{i kappa L} u(x) in x and
     plain periodicity in y; masters are the nodes with i < nx, j < ny."""
-    nx, ny = grid.nx, grid.ny
-    phase = np.exp(1j * kappa * grid.width)
-    master_col = {}
-    col = 0
-    for j in range(ny):
-        for i in range(nx):
-            master_col[(i, j)] = col
-            col += 1
-    rows, cols, vals = [], [], []
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            node = grid.node_id(i, j)
-            ii, jj = i % nx, j % ny
-            factor = phase if i == nx else 1.0
-            c = master_col[(ii, jj)]
-            for d in range(2):
-                rows.append(2 * node + d)
-                cols.append(2 * c + d)
-                vals.append(factor)
-    return sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(grid.ndof, 2 * nx * ny)).tocsr()
+    indptr, indices, phased = _bloch_pattern(grid.nx, grid.ny)
+    data = np.ones(len(indices), dtype=complex)
+    data[phased] = np.exp(1j * kappa * grid.width)
+    return sparse.csr_matrix((data, indices, indptr),
+                             shape=(grid.ndof, 2 * grid.nx * grid.ny))
+
+
+def _bloch_branches(K, M, T, n_branches: int, shift: float):
+    """Frequencies (Hz) and x-polarization of the lowest branches at one
+    wavenumber, T its Bloch map. A function of its own so that the pencil,
+    its factorization and the modes are freed before the next wavenumber's."""
+    Th = T.conj().T
+    Kb = (Th @ (K @ T)).tocsr()
+    Mb = (Th @ (M @ T)).tocsr()
+    Kb = 0.5 * (Kb + Kb.conj().T)
+    Mb = 0.5 * (Mb + Mb.conj().T)
+    sol = modal.solve_smallest(Kb, Mb, n_branches, shift=shift, system="bloch")
+    lam = np.clip(sol.eigenvalues, 0.0, None)
+    full = T @ sol.modes
+    ux2 = np.abs(full[0::2, :]) ** 2
+    tot = np.abs(full) ** 2
+    return (np.sqrt(lam) / (2.0 * math.pi),
+            ux2.sum(axis=0) / np.maximum(tot.sum(axis=0), 1e-300))
 
 
 def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
@@ -132,19 +150,8 @@ def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
     freqs = np.zeros((len(kappas), n_branches))
     pol = np.zeros((len(kappas), n_branches))
     for idx, kap in enumerate(kappas):
-        T = bloch_transform(grid, kap)
-        Th = T.conj().T
-        Kb = (Th @ (K @ T)).tocsr()
-        Mb = (Th @ (M @ T)).tocsr()
-        Kb = 0.5 * (Kb + Kb.conj().T)
-        Mb = 0.5 * (Mb + Mb.conj().T)
-        sol = modal.solve_smallest(Kb, Mb, n_branches, shift=shift, system="bloch")
-        lam = np.clip(sol.eigenvalues, 0.0, None)
-        freqs[idx] = np.sqrt(lam) / (2.0 * math.pi)
-        full = T @ sol.modes
-        ux2 = np.abs(full[0::2, :]) ** 2
-        tot = np.abs(full) ** 2
-        pol[idx] = ux2.sum(axis=0) / np.maximum(tot.sum(axis=0), 1e-300)
+        freqs[idx], pol[idx] = _bloch_branches(K, M, bloch_transform(grid, kap),
+                                               n_branches, shift)
     return BlochResult(kappas=kappas, frequencies_hz=freqs, x_fraction=pol)
 
 

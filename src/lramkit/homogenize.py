@@ -21,10 +21,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 from scipy.optimize import brentq
-from scipy.sparse import linalg as spla
 
 from . import fem, modal
-from .errors import ConstraintError, PoleError
+from .errors import ConstraintError, PoleError, SolverFailureError
 from .grid import StructuredGrid
 from .materials import GaussPointFields
 
@@ -75,22 +74,18 @@ class EffectiveMaterial:
         return self.resonance_frequencies_hz[strength > rel_tol * scale]
 
 
-def quasi_static(K, ops: fem.ConstraintOperators, volume: float):
+def quasi_static(K, ops: fem.ConstraintOperators, volume: float,
+                 factor: modal.ShiftInvert):
     """Effective elastic tensor and deflated strain basis Y_tilde.
 
     The microfluctuation under a unit macroscopic strain follows from the
-    constrained stiffness solve; Y_tilde then contracts K (and, in
-    ``effective_material``, the damping matrix) to the 3x3 effective tensors.
+    constrained stiffness solve, with ``factor`` the zero-shift factorization
+    of P^T K P; Y_tilde then contracts K (and, in ``effective_material``, the
+    damping matrix) to the 3x3 effective tensors.
     """
     P = ops.P
     Y = ops.Y
-    PtKP = (P.T @ (K @ P)).tocsc()
-    try:
-        lu = spla.splu(PtKP)
-    except RuntimeError as err:
-        raise ConstraintError(f"reduced stiffness singular: {err}") from err
-    KY = K @ Y
-    X = np.column_stack([lu.solve(np.asarray(P.T @ KY[:, j]).ravel()) for j in range(3)])
+    X = factor.operator.matmat(np.asarray(P.T @ (K @ Y)))
     Y_tilde = Y - P @ X
     C_eff = (Y.T @ (K @ Y_tilde)) / volume
     C_eff = 0.5 * (C_eff + C_eff.T)
@@ -145,19 +140,18 @@ def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
     return modal.ModalSolution(vals, modes, sol.residuals, sol.system), coupling
 
 
-def reduced_inertial_system(M, K, P, I_rigid, volume: float, count: int,
+def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, count: int,
                             delta_tol: float = 1e-3,
                             keep_below_hz: float | None = None,
-                            shift: float | None = 0.0) -> CellModes:
+                            factor: modal.ShiftInvert | None = None) -> CellModes:
     """Modal reduction of the constrained inertial problem.
 
-    Solves the undamped constrained pencil and selects modes with
-    significant momentum coupling (and below ``keep_below_hz`` when given).
-    The coupling columns are scaled so that Q Q^T carries density units,
-    making rho_eff a true density.
+    Solves the undamped constrained pencil (Kr, Mr) = P^T (K, M) P, shifted
+    by zero (``factor``, when given, is that factorization), and selects
+    modes with significant momentum coupling (and below ``keep_below_hz``
+    when given). The coupling columns are scaled so that Q Q^T carries
+    density units, making rho_eff a true density.
     """
-    Kr = (P.T @ (K @ P)).tocsr()
-    Mr = (P.T @ (M @ P)).tocsr()
     rho_bar = modal.average_density(M, I_rigid, volume)
 
     def relevance(sol):
@@ -167,8 +161,8 @@ def reduced_inertial_system(M, K, P, I_rigid, volume: float, count: int,
             sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
 
     _, (sol, coupling, relevant) = modal.solve_relevant(
-        Kr, Mr, count, relevance, shift=shift, system="restricted",
-        cover_hz=keep_below_hz)
+        Kr, Mr, count, relevance, shift=0.0, system="restricted",
+        cover_hz=keep_below_hz, factor=factor)
 
     kept = relevant
     if keep_below_hz is not None:
@@ -189,9 +183,18 @@ def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
     M, K = fem.assemble(grid, fields)
     ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC_PINNED)
     volume = grid.area
-    C_eff, Y_tilde = quasi_static(K, ops, volume)
-    red = reduced_inertial_system(M, K, ops.P, ops.I_rigid, volume, count=count,
-                                  delta_tol=delta_tol, keep_below_hz=keep_below_hz)
+    P = ops.P
+    Kr = (P.T @ (K @ P)).tocsr()
+    Mr = (P.T @ (M @ P)).tocsr()
+    # one factorization serves the quasi-static solve and the eigensolves
+    try:
+        factor = modal.shift_invert(Kr, Mr, shift=0.0)
+    except SolverFailureError as err:
+        raise ConstraintError(f"reduced stiffness singular: {err}") from err
+    C_eff, Y_tilde = quasi_static(K, ops, volume, factor)
+    red = reduced_inertial_system(M, Kr, Mr, P, ops.I_rigid, volume, count=count,
+                                  delta_tol=delta_tol, keep_below_hz=keep_below_hz,
+                                  factor=factor)
     return replace(red, C_eff=C_eff, Y_tilde=Y_tilde, grid=grid)
 
 

@@ -23,6 +23,7 @@ translation so that the tolerance is dimensionless.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,6 +165,13 @@ def solve_smallest(K, M, count: int, shift: float | None = None,
             residuals=err.eigenvalues) from err
     except (RuntimeError, ValueError, ArithmeticError) as err:
         raise SolverFailureError(f"shift-invert eigensolve failed: {err}") from err
+    finally:
+        if np.iscomplexobj(v0):
+            # ARPACK's complex driver, which Hermitian pencils go through,
+            # leaves its workspace, the pencil and the factorization in a
+            # reference cycle; free it now, not when the collector next
+            # runs, so solves in a loop do not pile up their factorizations
+            gc.collect(1)
     vals, vecs = _normalize(vals, vecs, M)
     return ModalSolution(vals, vecs, _residuals(K, M, vals, vecs), system)
 
@@ -180,12 +188,14 @@ def _without_top_cluster(sol: ModalSolution) -> ModalSolution:
 
 
 def solve_relevant(K, M, count: int, relevant, shift: float | None = None,
-                   system: str = "", cover_hz: float | None = None):
+                   system: str = "", cover_hz: float | None = None,
+                   factor: ShiftInvert | None = None):
     """(sol, relevant(sol)), doubling ``count`` up to min(_COUNT_CAP, n) while
     ``relevant`` raises NoRelevantModeError (re-raised at the cap) or, with
     ``cover_hz`` given, while the highest computed mode lies below it.
 
-    The pencil is factored once for all counts. When the cap stops the growth
+    The pencil is factored once for all counts (``factor``, when given, is
+    that factorization and ``shift`` is ignored). When the cap stops the growth
     short of ``cover_hz``, the top eigenvalue cluster is dropped before
     ``relevant`` sees it: the rest of a degenerate cluster may lie above the
     cap, and a partial cluster has no well-defined basis.
@@ -193,7 +203,6 @@ def solve_relevant(K, M, count: int, relevant, shift: float | None = None,
     K, M = _as_csr(K), _as_csr(M)
     n = K.shape[0]
     cap = min(_COUNT_CAP, n)
-    factor = None
     while True:
         if factor is None and count < n - 1:
             factor = shift_invert(K, M, shift)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fem, modal, rve
+from . import blas, fem, modal, rve
 from .errors import FeasibilityError, NoRelevantModeError, SolverFailureError
 from .grid import StructuredGrid
 from .materials import deviatoric_voigt, interpolate, volumetric_voigt
@@ -173,8 +173,9 @@ class OptimizeResult:
 def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool):
     """Smallest modes of the reduced pencil plus relevance indices."""
     P = ops.P
-    Kr = (P.T @ (K @ P)).tocsr()
-    Mr = (P.T @ (M @ P)).tocsr()
+    dofs = P.tocsc().indices   # P selects one dof per column, in order
+    Kr = K[dofs][:, dofs]
+    Mr = M[dofs][:, dofs]
     rho_bar = modal.average_density(M, ops.I_rigid, volume)
 
     def relevant(sol):
@@ -183,7 +184,7 @@ def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool
             return modal.filter_relevant_restricted(
                 sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
         mean = modal.mean_displacement(sol, ops.N_mu, P)
-        proj = modal.rigid_projections(sol, Mr, P.T @ ops.I_rigid)
+        proj = modal.rigid_projections(sol, Mr, ops.I_rigid[dofs])
         return modal.filter_relevant_unrestricted(
             sol, mean, 1.0 / math.sqrt(rho_bar * volume), proj, delta_tol)
 
@@ -300,6 +301,7 @@ def _node_flip_candidates(layout: rve.CellLayout, phi: np.ndarray,
     return [int(n) for n in picks[:budget]]
 
 
+@blas.single_threaded()
 def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
              settings: OptimizerSettings, observer=None) -> OptimizeResult:
     """Run the level-set march from a fully dense design domain.
@@ -308,6 +310,10 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
     initial analysis and after every iteration. Returns the best design
     found; if progress stalls for ``stagnation_window`` iterations the best
     state so far is returned with ``stagnated=True``.
+
+    The march runs with one BLAS thread per library: its thousands of small
+    sparse solves and ARPACK steps gain nothing from a second BLAS thread,
+    and the idle pools' spinning workers slow every layer.
     """
     grid = layout.grid
     omega_min = feasibility_lower_limit((phases.frame, phases.dense, phases.soft),

@@ -181,6 +181,7 @@ class TestValidate:
         "[analysis]\nbloch_branches = 0\n",
         "[analysis]\nmacro_nx = 1\n",
         "[analysis]\npanel_cells = 0\n",
+        "[optimize]\nsnapshot_every = 0\n",
         "[grid]\nnx = 3\nny = 3\n",
         "[materials]\ninterpolation_exponent = -1\n",
         "[output]\nstages = homogenize\nlevel_set_file = {tmp}/missing_phi.txt\n",
@@ -342,6 +343,15 @@ class TestCLI:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("[optimize]\nalpha = 7\n")
         assert cli.main(["validate", "--config", str(cfg_file)]) == 1
+
+    @pytest.mark.parametrize("verb", ["validate", "optimize"])
+    def test_snapshot_flag_below_one_rejected(self, tmp_path, verb):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[grid]\nnx = 8\nny = 8\n")
+        code = cli.main([verb, "--config", str(cfg_file), "--snapshot-every", "-3",
+                         "--out", str(tmp_path / "never")])
+        assert code == 1
+        assert not (tmp_path / "never").exists()
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         assert cli.main(["validate", "--config", str(tmp_path / "gone.cfg")]) == 1

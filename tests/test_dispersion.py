@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lramkit import dispersion, homogenize
 from lramkit.grid import build_grid
@@ -77,7 +78,34 @@ class TestEffectiveDispersion:
         assert len(lines) == 3
 
 
+def _bloch_transform_reference(grid, kappa):
+    """Node-by-node master-slave map, the reference for the fixed pattern."""
+    nx, ny = grid.nx, grid.ny
+    phase = np.exp(1j * kappa * grid.width)
+    rows, cols, vals = [], [], []
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            node = grid.node_id(i, j)
+            master = (j % ny) * nx + i % nx
+            for d in range(2):
+                rows.append(2 * node + d)
+                cols.append(2 * master + d)
+                vals.append(phase if i == nx else 1.0)
+    return sparse.coo_matrix((vals, (rows, cols)),
+                             shape=(grid.ndof, 2 * nx * ny)).tocsr()
+
+
 class TestBlochOracle:
+    @pytest.mark.parametrize("nx, ny", [(7, 4), (3, 5), (2, 2)])
+    def test_transform_matches_reference(self, nx, ny):
+        g = build_grid(nx, ny, 0.01)
+        for kap in (0.0, 0.3 * math.pi / 0.01, -math.pi / 0.01, 2.5):
+            ref = _bloch_transform_reference(g, kap)
+            T = dispersion.bloch_transform(g, kap)
+            assert T.shape == ref.shape and T.dtype == ref.dtype
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(T, name), getattr(ref, name))
+
     def test_acoustic_branch_through_origin(self, epoxy):
         g = build_grid(8, 8, 0.01)
         res = dispersion.bloch_oracle(g, uniform_fields(g, epoxy),

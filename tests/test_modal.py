@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import linalg, sparse
@@ -91,6 +94,25 @@ class TestSolveSmallest:
         np.testing.assert_allclose(sol.eigenvalues, ref[:6], rtol=1e-8)
         assert sol.residuals.max() < 1e-8
         assert sol.system == "bloch"
+
+    def test_hermitian_solve_frees_its_pencil(self):
+        # ARPACK's complex driver holds its operands in a reference cycle;
+        # with the collector off they must still go when the caller drops them
+        n = 60
+        rng = np.random.default_rng(5)
+        off = rng.uniform(0.3, 0.8, n - 1) * np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
+        K = sparse.diags([rng.uniform(2.0, 3.0, n), off, off.conj()], [0, 1, -1]).tocsr()
+        M = sparse.diags(rng.uniform(0.5, 2.0, n)).tocsr()
+        dropped = weakref.ref(M)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            modal.solve_smallest(K, M, 4, shift=-1.0, system="bloch")
+            del M
+            assert dropped() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSolveRelevant:
