@@ -67,13 +67,13 @@ def main(argv=None) -> int:
         return 1 if errors else 0
 
     if args.verb == "pipeline":
-        last = args.stage or cfg.stages[-1]
+        last = args.stage or (cfg.stages[-1] if cfg.stages else None)
     else:
         last = args.verb
-    upto = STAGES.index(last)
-    first = 0 if cfg.level_set_file is None else 1
-    stages = STAGES[min(first, upto):upto + 1]
-    cfg = replace(cfg, stages=stages)
+    if last in STAGES:   # an empty or unknown stage list is left to validate
+        upto = STAGES.index(last)
+        first = 0 if cfg.level_set_file is None else 1
+        cfg = replace(cfg, stages=STAGES[min(first, upto):upto + 1])
 
     result = run(cfg)
     return result.exit_code

@@ -81,7 +81,6 @@ class PipelineConfig:
     stop_tol: float = 1e-7
     delta_tol: float = 1e-3
     frame_fraction: float = 0.05
-    stagnation_window: int = 80
     snapshot_every: int = 10
     # analysis
     viscosities: tuple[float, ...] = (0.0, 10.0)
@@ -114,22 +113,31 @@ class PipelineConfig:
         return self.band_top_hz if self.band_top_hz is not None else 2.0 * self.f_max_hz
 
 
+def _finite(value: str) -> float:
+    """float(value), rejecting nan and inf."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 _SCHEMA = {
-    "grid": {"nx": int, "ny": int, "cell_size": float},
+    "grid": {"nx": int, "ny": int, "cell_size": _finite},
     "materials": {"card": str, "frame": str, "dense": str, "soft": str,
-                  "frame_stiffness_scale": float, "soft_density_scale": float,
-                  "interpolation_exponent": float},
-    "optimize": {"target_f_hz": float, "alpha": float, "dt": float, "c1": str,
-                 "max_iters": int, "stop_tol": float, "delta_tol": float,
-                 "frame_fraction": float, "stagnation_window": int,
-                 "snapshot_every": int},
-    "analysis": {"viscosities": str, "f_min_hz": float, "f_max_hz": float,
-                 "samples": int, "modes": int, "band_top_hz": float,
+                  "frame_stiffness_scale": _finite, "soft_density_scale": _finite,
+                  "interpolation_exponent": _finite},
+    "optimize": {"target_f_hz": _finite, "alpha": _finite, "dt": _finite, "c1": str,
+                 "max_iters": int, "stop_tol": _finite, "delta_tol": _finite,
+                 "frame_fraction": _finite, "snapshot_every": int},
+    "analysis": {"viscosities": str, "f_min_hz": _finite, "f_max_hz": _finite,
+                 "samples": int, "modes": int, "band_top_hz": _finite,
                  "panel_cells": int, "macro_nx": int, "macro_ny": int,
                  "kappa_samples": int, "bloch_branches": int},
-    "output": {"dir": str, "stages": str, "level_set_file": str,
-               "deterministic": str},
+    "output": {"dir": str, "stages": str, "level_set_file": str},
 }
+
+# keys of earlier versions that still parse and are ignored
+_RETIRED = {("optimize", "stagnation_window"), ("output", "deterministic")}
 
 _FIELD_OF = {
     ("materials", "card"): "material_card",
@@ -145,20 +153,20 @@ def parse_config(text: str, path: str | None = None) -> PipelineConfig:
         if sec not in _SCHEMA:
             raise ConfigError(f"unknown section [{sec}]")
         for key, (value, lineno) in entries.items():
+            if (sec, key) in _RETIRED:
+                continue
             if key not in _SCHEMA[sec]:
                 raise ConfigError(f"line {lineno}: unknown key '{key}' in [{sec}]")
             attr = _FIELD_OF.get((sec, key), key)
             try:
                 if key == "c1":
-                    cfg.c1 = None if value.lower() == "auto" else float(value)
+                    cfg.c1 = None if value.lower() == "auto" else _finite(value)
                 elif key == "viscosities":
-                    cfg.viscosities = tuple(float(v) for v in value.split(",") if v.strip())
+                    cfg.viscosities = tuple(_finite(v) for v in value.split(",") if v.strip())
                 elif key == "stages":
                     cfg.stages = tuple(s.strip() for s in value.split(",") if s.strip())
                 elif key == "level_set_file":
                     cfg.level_set_file = value or None
-                elif key == "deterministic":
-                    pass   # retired informational key; old configs still parse
                 else:
                     setattr(cfg, attr, _SCHEMA[sec][key](value))
             except ValueError as err:
@@ -183,9 +191,9 @@ def parse_material_card(text: str) -> dict[str, MaterialPhase]:
             if key not in ("rho", "K", "G", "mu"):
                 raise ConfigError(f"line {lineno}: unknown material field '{key}'")
             try:
-                vals[key] = float(value)
+                vals[key] = _finite(value)
             except ValueError as err:
-                raise ConfigError(f"line {lineno}: bad number for {key}") from err
+                raise ConfigError(f"line {lineno}: bad number for {key}: {err}") from err
         for req in ("rho", "K", "G"):
             if req not in vals:
                 raise ConfigError(f"material [{name}] missing field '{req}'")
@@ -258,7 +266,9 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
         err(f"panel grid must be at least 2x2, got {cfg.macro_nx}x{cfg.macro_ny}")
 
     unknown = [s for s in cfg.stages if s not in STAGES]
-    if unknown:
+    if not cfg.stages:
+        err(f"stages must name at least one of {list(STAGES)}")
+    elif unknown:
         err(f"unknown stages {unknown}; valid: {list(STAGES)}")
     else:
         idx = sorted(STAGES.index(s) for s in cfg.stages)

@@ -95,7 +95,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
             settings = topopt.OptimizerSettings(
                 target_f_hz=cfg.target_f_hz, alpha=cfg.alpha, dt=cfg.dt,
                 c1=cfg.c1, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol,
-                delta_tol=cfg.delta_tol, stagnation_window=cfg.stagnation_window)
+                delta_tol=cfg.delta_tol)
 
             snap_paths: list[Path] = []
 
@@ -122,7 +122,8 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                 log("warning: resonance jumps oscillated by more than a decade; "
                     "the design may sit in the physically unstable band")
             if res.stagnated:
-                log("warning: optimizer stagnated; best design so far returned")
+                log("warning: optimizer stagnated above stop_tol; no probed step "
+                    "lowers the cost of the returned design")
             phi = res.state.phi
         elif cfg.level_set_file is not None:
             phi = read_phi(cfg.level_set_file, cfg.nx, cfg.ny)

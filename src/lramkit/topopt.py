@@ -5,9 +5,9 @@ resonance frequencies of the restricted system (all boundary dofs
 prescribed) and the unrestricted system: one fits the restricted frequency
 to a target, the other widens the gap between the two. The level set is
 marched in pseudo-time with the pointwise topological derivative of the
-cost; a step is accepted only if it does not increase the cost beyond a
-small tolerance, which keeps the discrete iteration close to the
-monotonically descending continuous flow.
+cost. The discrete march is a strict descent, like the continuous flow it
+follows: an iteration moves to a probed candidate only when that lowers
+the cost, and the march stops at the first iteration where none does.
 
 Both reduced systems prescribe every vertical dof (the panel carries
 horizontally polarized waves), the frame is made quasi-rigid and the
@@ -25,6 +25,22 @@ from . import blas, fem, modal, rve
 from .errors import FeasibilityError, NoRelevantModeError, SolverFailureError
 from .grid import StructuredGrid
 from .materials import deviatoric_voigt, interpolate, volumetric_voigt
+
+MODAL_COUNT = 2            # modes per reduced solve before relevance-driven growth
+SCAN_UP = 8                # step-scale doublings probed per direction
+SCAN_DOWN = 12             # step-scale halvings probed per direction
+NODE_FLIP_BUDGET = 12      # single-node trials once the field steps find no descent
+CLAMP = 10.0               # |phi| bound on the design domain
+PHI0 = 1.0                 # initial level set: a fully dense design domain
+# ceiling of the step scale carried between iterations; it binds: without it
+# the 20x20, alpha = 0.5, 1000 Hz run returns another phi of the same chi
+STEP_SCALE_CAP = 1024.0
+
+# alternating scale ladder: base, x2, /2, x4, /4, ..., x2^8, /2^8, /2^9, ...
+# bulk removals early in a run need growing steps while the endgame needs
+# single-point changes
+_SCAN_ORDER = (0,) + tuple(s for k in range(1, max(SCAN_UP, SCAN_DOWN) + 1)
+                           for s in (k, -k) if abs(s) <= (SCAN_UP if s > 0 else SCAN_DOWN))
 
 
 def feasibility_lower_limit(phases, cell_size: float) -> float:
@@ -133,15 +149,6 @@ class OptimizerSettings:
     max_iters: int = 1000
     stop_tol: float = 1e-7
     delta_tol: float = 1e-3
-    modal_count: int = 2
-    increase_tol: float = 0.005      # accepted relative cost increase per step
-    scan_up: int = 8                 # step-scale doublings probed per iteration
-    scan_down: int = 12              # step-scale halvings probed per iteration
-    node_flip_budget: int = 12       # single-node trials once field steps stall
-    stagnation_window: int = 80
-    drift_boost_cap: float = 1024.0
-    clamp: float = 10.0
-    phi0: float = 1.0
 
     @property
     def lambda_target(self) -> float:
@@ -201,9 +208,9 @@ def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet
     volume = grid.area
 
     shift_free = -(2.0 * math.pi * max(settings.target_f_hz / 10.0, 10.0)) ** 2
-    sol_r, rel_r = _solve_relevant(K, M, ops_restricted, volume, settings.modal_count,
+    sol_r, rel_r = _solve_relevant(K, M, ops_restricted, volume, MODAL_COUNT,
                                    settings.delta_tol, shift=0.0, restricted=True)
-    sol_u, rel_u = _solve_relevant(K, M, ops_free, volume, settings.modal_count,
+    sol_u, rel_u = _solve_relevant(K, M, ops_free, volume, MODAL_COUNT,
                                    settings.delta_tol, shift=shift_free, restricted=False)
 
     lam_s = float(sol_r.eigenvalues[rel_r[0]])
@@ -269,7 +276,7 @@ def sensitivity_field(layout: rve.CellLayout, analysis: DesignAnalysis,
 
 
 def hj_step(state: LevelSetState, sensitivity: np.ndarray, dt: float, c1: float,
-            clamp: float = 10.0) -> LevelSetState:
+            clamp: float = CLAMP) -> LevelSetState:
     """One explicit pseudo-time update of the level set on the design domain."""
     phi = state.phi.copy()
     mask = state.layout.design_nodes
@@ -307,9 +314,17 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
     """Run the level-set march from a fully dense design domain.
 
     ``observer(iteration, phi_copy, history_row)`` is called after the
-    initial analysis and after every iteration. Returns the best design
-    found; if progress stalls for ``stagnation_window`` iterations the best
-    state so far is returned with ``stagnated=True``.
+    initial analysis and after every iteration.
+
+    Each iteration probes the step-scale ladder along the sensitivity
+    field and its positive and negative parts, then, if none of those
+    lowers the cost, single-node flips; it moves to the lowest-cost
+    candidate only if that lowers the cost. The march stops with
+    ``converged=True`` once the cost reaches ``stop_tol``, and with
+    ``stagnated=True`` at the first iteration where no candidate lowers
+    it: such an iteration leaves the level set, the sensitivity and the
+    step scale unchanged, so every later one would repeat it. The
+    returned design is therefore always the lowest-cost one of the run.
 
     The march runs with one BLAS thread per library: its thousands of small
     sparse solves and ARPACK steps gain nothing from a second BLAS thread,
@@ -329,7 +344,7 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
     ops_u = fem.build_constraints(grid, fem.BoundaryCondition.FREE,
                                   horizontal_only=True)
 
-    state = LevelSetState(layout=layout, phi=np.full(grid.nnode, settings.phi0))
+    state = LevelSetState(layout=layout, phi=np.full(grid.nnode, PHI0))
     current = analyze_design(layout, rve.chi_at_gauss(layout, state.phi), phases,
                              settings, ops_r, ops_u)
     state.history.append(_history_row(0, current.cost, layout, current.chi))
@@ -349,145 +364,77 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
             raise SolverFailureError("zero sensitivity field at the initial design")
         c1 = 0.1 * float(np.abs(state.phi[layout.design_nodes]).max()) / (settings.dt * peak)
 
-    best_phi = state.phi.copy()
-    best = current
-    no_best = 0
     step_scale = 1.0
     converged = False
     stagnated = False
     jumps: list[tuple[int, int]] = []
-    cache: dict[bytes, DesignAnalysis] = {}
 
-    def _analyze_cached(chi):
-        key = chi.tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        cand = analyze_design(layout, chi, phases, settings, ops_r, ops_u)
-        if len(cache) > 48:
-            cache.pop(next(iter(cache)))
-        cache[key] = cand
-        return cand
+    seen: set[bytes] = set()   # designs analysed in this iteration, the current one included
+    best = None                # this iteration's lowest-cost descent: (analysis, phi, step scale)
 
-    # alternating scale ladder: base, x2, /2, x4, /4, ... bulk removals early
-    # in a run need growing steps while the endgame needs single-point flips
-    scan_order = [0]
-    for k in range(1, max(settings.scan_up, settings.scan_down) + 1):
-        if k <= settings.scan_up:
-            scan_order.append(k)
-        if k <= settings.scan_down:
-            scan_order.append(-k)
+    def probe(phi_t, scale):
+        """Analyse the design of phi_t and keep it in ``best`` if it costs
+        less than the current design and every earlier probe."""
+        nonlocal best
+        chi_t = rve.chi_at_gauss(layout, phi_t)
+        key = chi_t.tobytes()
+        if key in seen:
+            return
+        seen.add(key)
+        try:
+            cand = analyze_design(layout, chi_t, phases, settings, ops_r, ops_u)
+        except (NoRelevantModeError, SolverFailureError, ValueError):
+            return   # degenerate candidate (no resonator left, solver trouble)
+        if cand.cost.Pi < (current if best is None else best[0]).cost.Pi:
+            best = (cand, phi_t, scale)
 
     for it in range(1, settings.max_iters + 1):
-        accepted = False
-        topology_changed = False
-        drift_trial = None
-        seen: set[bytes] = set()
+        seen = {current.chi.tobytes()}
+        best = None
         # the one-signed components act as fallback descent directions: near
         # the optimum the full field often couples a benign material removal
         # with a catastrophic re-connection somewhere else, and only the
         # split direction can realize the benign half
-        directions = (vtd,
-                      np.where(vtd > 0.0, vtd, 0.0),
-                      np.where(vtd < 0.0, vtd, 0.0))
-        best_cand = None
-        best_trial = None
-        best_scale = None
-        for d_idx, direction in enumerate(directions):
-            for k in scan_order:
+        for direction in (vtd, np.where(vtd > 0.0, vtd, 0.0), np.where(vtd < 0.0, vtd, 0.0)):
+            for k in _SCAN_ORDER:
                 scale = step_scale * 2.0 ** k
-                trial = hj_step(state, direction, settings.dt, c1 * scale, settings.clamp)
-                chi_t = rve.chi_at_gauss(layout, trial.phi)
-                if np.array_equal(chi_t, current.chi):
-                    if d_idx == 0 and (drift_trial is None or k > 0):
-                        drift_trial = trial
-                    continue
-                key = chi_t.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    cand = _analyze_cached(chi_t)
-                except (NoRelevantModeError, SolverFailureError, ValueError):
-                    # degenerate candidate (no resonator left, solver trouble)
-                    continue
-                if best_cand is None or cand.cost.Pi < best_cand.cost.Pi:
-                    best_cand, best_trial, best_scale = cand, trial, scale
-            if best_cand is not None and best_cand.cost.Pi < 0.97 * current.cost.Pi:
+                probe(hj_step(state, direction, settings.dt, c1 * scale).phi, scale)
+            if best is not None and best[0].cost.Pi < 0.97 * current.cost.Pi:
                 break  # clear descent found, skip the fallback directions
-        if best_cand is None or best_cand.cost.Pi >= current.cost.Pi:
+        if best is None:
             # endgame fallback: the field update moves whole interface bands
             # at once, too coarse once the cost is nearly converged. Mirror
             # single nodes along the sensitivity direction for the finest
             # possible topology change.
-            for node in _node_flip_candidates(layout, state.phi, vtd, settings.node_flip_budget):
+            for node in _node_flip_candidates(layout, state.phi, vtd, NODE_FLIP_BUDGET):
                 phi_t = state.phi.copy()
                 # hard-set past the clamp so the node's nearest Gauss points
                 # flip no matter how strongly its neighbours pull the other way
-                phi_t[node] = -math.copysign(settings.clamp, phi_t[node])
-                chi_t = rve.chi_at_gauss(layout, phi_t)
-                if np.array_equal(chi_t, current.chi):
-                    continue
-                key = chi_t.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    cand = _analyze_cached(chi_t)
-                except (NoRelevantModeError, SolverFailureError, ValueError):
-                    continue
-                if best_cand is None or cand.cost.Pi < best_cand.cost.Pi:
-                    best_cand = cand
-                    best_trial = replace(state, phi=phi_t, iteration=state.iteration + 1)
-                    best_scale = step_scale
-        if (best_cand is not None
-                and best_cand.cost.Pi <= current.cost.Pi * (1.0 + settings.increase_tol)):
-            prev_lam = current.cost.lambda_star1
-            state = best_trial
-            current = best_cand
-            step_scale = min(max(best_scale, 2.0 ** -settings.scan_down),
-                             settings.drift_boost_cap)
-            accepted = True
-            topology_changed = True
-            ratio = math.log10(current.cost.lambda_star1 / prev_lam)
-            if abs(ratio) > 1.0:
-                jumps.append((it, 1 if ratio > 0 else -1))
-        if not accepted and drift_trial is not None:
-            # no admissible topology change; keep sliding the level set
-            state = drift_trial
-            step_scale = min(step_scale * 2.0, settings.drift_boost_cap)
-            accepted = True
-        if not accepted:
-            state = replace(state, iteration=state.iteration + 1)
+                phi_t[node] = -math.copysign(CLAMP, phi_t[node])
+                probe(phi_t, step_scale)
+        if best is None:
+            stagnated = True
+            break
+
+        prev_lam = current.cost.lambda_star1
+        current, phi_t, scale = best
+        state = replace(state, phi=phi_t, iteration=it)
+        step_scale = min(max(scale, 2.0 ** -SCAN_DOWN), STEP_SCALE_CAP)
+        ratio = math.log10(current.cost.lambda_star1 / prev_lam)
+        if abs(ratio) > 1.0:
+            jumps.append((it, 1 if ratio > 0 else -1))
 
         state.history.append(_history_row(it, current.cost, layout, current.chi))
         if observer is not None:
             observer(it, state.phi.copy(), state.history[-1])
 
-        if topology_changed:
-            vtd = sensitivity_field(layout, current, phases, settings)
-
-        if current.cost.Pi < best.cost.Pi:
-            best = current
-            best_phi = state.phi.copy()
-            no_best = 0
-        else:
-            no_best += 1
-
         if current.cost.Pi <= settings.stop_tol:
             converged = True
             break
-        if no_best >= settings.stagnation_window:
-            stagnated = True
-            break
+        vtd = sensitivity_field(layout, current, phases, settings)
 
     instability = any(s1 != s2 and abs(i1 - i2) <= 20
                       for (i1, s1) in jumps for (i2, s2) in jumps)
-
-    if best.cost.Pi < current.cost.Pi:
-        state = replace(state, phi=best_phi)
-        current = best
-
     return OptimizeResult(state=state, analysis=current, settings=settings,
                           phases=phases, c1=c1, converged=converged,
                           stagnated=stagnated, instability_warning=instability)

@@ -80,6 +80,21 @@ stages = optimize, homogenize
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("[grid]\nnx = banana\n")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "cell_size", "nan"),
+        ("materials", "frame_stiffness_scale", "inf"),
+        ("optimize", "target_f_hz", "nan"),
+        ("optimize", "alpha", "-inf"),
+        ("optimize", "dt", "inf"),
+        ("optimize", "stop_tol", "nan"),
+        ("optimize", "c1", "inf"),
+        ("analysis", "viscosities", "0, nan"),
+        ("analysis", "band_top_hz", "inf"),
+    ])
+    def test_non_finite_number_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match="line 3.*finite"):
+            parse_config(f"[{section}]\n\n{key} = {value}\n")
+
     def test_comments_ignored(self):
         cfg = parse_config("# header\n[grid]\nnx = 12  # trailing\n")
         assert cfg.nx == 12
@@ -186,6 +201,7 @@ class TestValidate:
         "[materials]\ninterpolation_exponent = -1\n",
         "[output]\nstages = homogenize\nlevel_set_file = {tmp}/missing_phi.txt\n",
         "[output]\nstages = homogenize\nlevel_set_file = {tmp}/phi_2x2.txt\n",
+        "[output]\nstages =\n",
     ])
     def test_configs_that_would_crash_are_rejected(self, tmp_path, text):
         (tmp_path / "phi_2x2.txt").write_text("1 1\n1 1\n")   # wrong shape
@@ -196,12 +212,16 @@ class TestValidate:
         assert result.exit_code == 1
         assert not (tmp_path / "never").exists()
 
-    def test_retired_deterministic_key_still_parses(self, tmp_path):
+    @pytest.mark.parametrize("section, key, value", [
+        ("output", "deterministic", "yes"),
+        ("optimize", "stagnation_window", "80"),
+    ], ids=["deterministic", "stagnation_window"])
+    def test_retired_deterministic_key_still_parses(self, tmp_path, section, key, value):
         cfg_file = tmp_path / "old.cfg"
-        cfg_file.write_text("[output]\ndeterministic = yes\n")
+        cfg_file.write_text(f"[{section}]\n{key} = {value}\n")
         cfg = load_config(cfg_file)
         assert not self._errors(cfg)
-        assert not hasattr(cfg, "deterministic")
+        assert not hasattr(cfg, key)
 
     def test_diagnostic_str(self):
         d = Diagnostic("error", "boom", line=4)
@@ -351,6 +371,20 @@ class TestCLI:
         code = cli.main([verb, "--config", str(cfg_file), "--snapshot-every", "-3",
                          "--out", str(tmp_path / "never")])
         assert code == 1
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("stages, message", [
+        ("", "stages must name at least one"),
+        ("optimize, bogus", "unknown stages ['bogus']"),
+    ], ids=["empty", "unknown_last"])
+    @pytest.mark.parametrize("verb", ["validate", "pipeline"])
+    def test_bad_stage_list_rejected(self, tmp_path, capsys, verb, stages, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[output]\ndir = {tmp_path / 'never'}\nstages = {stages}\n")
+        assert cli.main([verb, "--config", str(cfg_file)]) == 1
+        captured = capsys.readouterr()
+        assert "error: " + message in captured.out
+        assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "never").exists()
 
     def test_missing_config_exit_one(self, tmp_path, capsys):

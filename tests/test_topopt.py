@@ -238,23 +238,32 @@ class TestOptimize:
             seen.append((it, phi.shape, row.Pi))
             phi[:] = 1e9   # must be a copy: mutation may not leak back
 
-        st = topopt.OptimizerSettings(target_f_hz=4000.0, alpha=1.0, max_iters=3,
-                                      stagnation_window=5)
+        st = topopt.OptimizerSettings(target_f_hz=4000.0, alpha=1.0, max_iters=3)
         res = topopt.optimize(layout, phases, st, observer=obs)
         assert [s[0] for s in seen] == list(range(len(res.history)))
-        assert np.all(np.abs(res.state.phi) <= st.clamp)
+        assert np.all(np.abs(res.state.phi) <= topopt.CLAMP)
 
     def test_frame_volume_constant_and_history_schema(self, epoxy, steel, rubber):
         g = build_grid(16, 16, 0.01)
         layout = rve.build_layout(g)
         phases = rve.scaled_phases(epoxy, steel, rubber)
-        st = topopt.OptimizerSettings(target_f_hz=2000.0, alpha=1.0, max_iters=8,
-                                      stagnation_window=6)
+        st = topopt.OptimizerSettings(target_f_hz=2000.0, alpha=1.0, max_iters=8)
         res = topopt.optimize(layout, phases, st)
         design_frac = 1.0 - layout.frame_volume_fraction
         for row in res.history:
             assert row.vol_frac_dense + row.vol_frac_soft == pytest.approx(design_frac)
             assert 0.0 <= row.Pi <= 1.0
+
+    def test_strict_descent_stops_at_first_stall(self, epoxy, steel, rubber):
+        layout = rve.build_layout(build_grid(20, 20, 0.01))
+        phases = rve.scaled_phases(epoxy, steel, rubber)
+        st = topopt.OptimizerSettings(target_f_hz=1000.0, alpha=0.5)
+        res = topopt.optimize(layout, phases, st)
+        assert res.stagnated and not res.converged
+        pis = [row.Pi for row in res.history]
+        assert len(pis) >= 2
+        assert all(b < a for a, b in zip(pis, pis[1:]))
+        assert res.analysis.cost.Pi == res.history[-1].Pi
 
 
 class TestOptimizerPencils:
