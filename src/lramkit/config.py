@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import build_grid
 from .materials import MaterialPhase, builtin_materials
-from .rve import build_layout
+from .rve import build_layout, scaled_phases
 
 STAGES = ("optimize", "homogenize", "dispersion", "transmission")
 
@@ -252,6 +252,12 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
         err(f"dt must be positive, got {cfg.dt}")
     if cfg.interpolation_exponent <= 0:
         err(f"interpolation_exponent must be positive, got {cfg.interpolation_exponent}")
+    scales_ok = cfg.frame_stiffness_scale > 0 and cfg.soft_density_scale >= 0
+    if not scales_ok:
+        err("need frame_stiffness_scale > 0 and soft_density_scale >= 0, got "
+            f"{cfg.frame_stiffness_scale} and {cfg.soft_density_scale}")
+    if not 0.0 <= cfg.delta_tol < 1.0:   # no mode couples more than a rigid one
+        err(f"delta_tol must lie in [0, 1), got {cfg.delta_tol}")
     if cfg.samples < 1 or len(tuple(cfg.viscosities)) == 0:
         err("frequency sweep needs at least one sample and one viscosity")
     if cfg.f_min_hz <= 0 or cfg.f_max_hz <= cfg.f_min_hz:
@@ -295,11 +301,16 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
             err(f"materials {missing} not in registry {sorted(registry)}")
         elif cfg.cell_size > 0:
             phases = [registry[cfg.frame], registry[cfg.dense], registry[cfg.soft]]
+            optimizing = "optimize" in cfg.stages
+            if optimizing and scales_ok:   # the optimizer's limit, of its scaled phases
+                ps = scaled_phases(*phases, cfg.frame_stiffness_scale, cfg.soft_density_scale)
+                phases = [ps.frame, ps.dense, ps.soft]
             w_min = feasibility_lower_limit(phases, cfg.cell_size)
             f_min = w_min / (2.0 * math.pi)
             if cfg.target_f_hz <= f_min:
-                warn(f"target {cfg.target_f_hz:.1f} Hz is below the feasibility "
-                     f"lower limit {f_min:.1f} Hz for a {cfg.cell_size} m cell")
+                (err if optimizing else warn)(
+                    f"target {cfg.target_f_hz:.1f} Hz is below the feasibility "
+                    f"lower limit {f_min:.1f} Hz for a {cfg.cell_size} m cell")
             else:
                 info(f"feasibility lower limit {f_min:.1f} Hz; targets near it can "
                      "sit in a numerically unstable band, which the optimizer "

@@ -5,10 +5,11 @@ wavenumber for an x-travelling longitudinal wave; the oracle solves the
 true heterogeneous cell under Bloch phase shifts in x (plain periodicity
 in y) and returns the lowest branches with their polarization content, so
 longitudinal branches can be compared against the effective prediction.
+The Bloch map is the unpinned periodic map of ``fem`` with the nodes on
+x = L times e^{i kappa L}, and the Bloch pencil is its ``fem.reduce``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -94,43 +95,26 @@ def effective_dispersion(em: EffectiveMaterial, freqs_hz, axis: int = 0,
                            kappa_norm=kappa * em.cell_size / math.pi)
 
 
-@functools.lru_cache(maxsize=8)
-def _bloch_pattern(nx: int, ny: int):
-    """CSR ``indptr``/``indices`` of the Bloch map of an nx x ny grid plus the
-    mask of its phased entries (the nodes with i = nx). Every row holds one
-    entry; the arrays are read-only because every kappa shares them."""
-    j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
-    master = (j % ny) * nx + i % nx
-    indices = (2 * master[:, None] + np.arange(2)).ravel().astype(np.int32)
-    indptr = np.arange(len(indices) + 1, dtype=np.int32)
-    phased = np.repeat(i == nx, 2)
-    for arr in (indptr, indices, phased):
-        arr.flags.writeable = False
-    return indptr, indices, phased
-
-
-def bloch_transform(grid: StructuredGrid, kappa: float) -> sparse.csr_matrix:
+def bloch_transform(ops: fem.ConstraintOperators, kappa: float) -> sparse.csr_matrix:
     """Master-slave map enforcing u(x + L) = e^{i kappa L} u(x) in x and
-    plain periodicity in y; masters are the nodes with i < nx, j < ny."""
-    indptr, indices, phased = _bloch_pattern(grid.nx, grid.ny)
-    data = np.ones(len(indices), dtype=complex)
-    data[phased] = np.exp(1j * kappa * grid.width)
-    return sparse.csr_matrix((data, indices, indptr),
-                             shape=(grid.ndof, 2 * grid.nx * grid.ny))
+    plain periodicity in y: the unpinned periodic map ``ops`` with its
+    phased rows, the nodes on x = L, times the phase."""
+    data = np.where(ops.phased, np.exp(1j * kappa * ops.grid.width), 1.0 + 0.0j)
+    return sparse.csr_matrix((data, ops.P.indices, ops.P.indptr), shape=ops.P.shape)
 
 
-def _bloch_branches(K, M, T, n_branches: int, shift: float):
+def _bloch_branches(K, M, ops, kappa: float, n_branches: int, shift: float):
     """Frequencies (Hz) and x-polarization of the lowest branches at one
-    wavenumber, T its Bloch map. A function of its own so that the pencil,
-    its factorization and the modes are freed before the next wavenumber's."""
-    Th = T.conj().T
-    Kb = (Th @ (K @ T)).tocsr()
-    Mb = (Th @ (M @ T)).tocsr()
+    wavenumber. A function of its own so that the pencil, its factorization
+    and the modes are freed before the next wavenumber's."""
+    phase = np.exp(1j * kappa * ops.grid.width)
+    Kb = fem.reduce(K, ops, phase)
+    Mb = fem.reduce(M, ops, phase)
     Kb = 0.5 * (Kb + Kb.conj().T)
     Mb = 0.5 * (Mb + Mb.conj().T)
     sol = modal.solve_smallest(Kb, Mb, n_branches, shift=shift, system="bloch")
     lam = np.clip(sol.eigenvalues, 0.0, None)
-    full = T @ sol.modes
+    full = bloch_transform(ops, kappa) @ sol.modes
     ux2 = np.abs(full[0::2, :]) ** 2
     tot = np.abs(full) ** 2
     return (np.sqrt(lam) / (2.0 * math.pi),
@@ -146,12 +130,12 @@ def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
     longitudinal polarization for branch classification.
     """
     M, K = fem.assemble(grid, fields)
+    ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC)
     kappas = np.asarray(kappas, dtype=float)
     freqs = np.zeros((len(kappas), n_branches))
     pol = np.zeros((len(kappas), n_branches))
     for idx, kap in enumerate(kappas):
-        freqs[idx], pol[idx] = _bloch_branches(K, M, bloch_transform(grid, kap),
-                                               n_branches, shift)
+        freqs[idx], pol[idx] = _bloch_branches(K, M, ops, kap, n_branches, shift)
     return BlochResult(kappas=kappas, frequencies_hz=freqs, x_fraction=pol)
 
 

@@ -8,7 +8,9 @@ optimization:
   N_mu u = <u> and B_mu u = <grad_s u>,
 * the linear-field basis Y (ndof x 3) with B_mu Y = I,
 * the rigid-translation basis I_rigid (ndof x 2) with N_mu I_rigid = I,
-* selection/periodicity operators P for the supported boundary conditions.
+* one master-slave map per boundary condition (each dof follows at most one
+  master, times a phase on x = L for the Bloch map), the operator P that
+  expands through it, and ``reduce``, the one way to form P^H A P.
 
 Quadrature is 2x2 Gauss (weights 1), exact for the bilinear element on the
 uniform rectangular grids used here.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -97,18 +99,22 @@ def mass_blocks(grid: StructuredGrid, rho: np.ndarray) -> np.ndarray:
     return (rho @ mass).reshape(-1, 8, 8)
 
 
+def _csr_slots(rows: np.ndarray, cols: np.ndarray, n: int):
+    """CSR ``indptr``/``indices`` of the (row, col) pairs plus each pair's slot."""
+    keys, slot = np.unique(rows.astype(np.int64, copy=False) * n + cols, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, (keys % n).astype(np.int32), slot
+
+
 @functools.lru_cache(maxsize=8)
 def _pattern(ndof: int, dof_bytes: bytes):
     """CSR ``indptr``/``indices`` of one connectivity plus the slot of every
     element-block entry, keyed by the raw element-dof array. The arrays are
     read-only because every matrix of the connectivity shares them."""
     dofs = np.frombuffer(dof_bytes, dtype=np.int64).reshape(-1, 8)
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    keys, slot = np.unique(rows * ndof + cols, return_inverse=True)
-    indptr = np.zeros(ndof + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // ndof, minlength=ndof), out=indptr[1:])
-    indices = (keys % ndof).astype(np.int32)
+    indptr, indices, slot = _csr_slots(np.repeat(dofs, 8, axis=1).ravel(),
+                                       np.tile(dofs, (1, 8)).ravel(), ndof)
     for arr in (indptr, indices, slot):
         arr.flags.writeable = False
     return indptr, indices, slot
@@ -178,23 +184,49 @@ class BoundaryCondition(enum.Enum):
     FULLY_PRESCRIBED = "fully-prescribed"
     PERIODIC_PINNED = "periodic-pinned"
     FREE = "free"
+    PERIODIC = "periodic"      # unpinned: the Bloch map at kappa = 0
 
 
 @dataclass(frozen=True)
 class ConstraintOperators:
-    """Kinematic operators of a cell under one boundary-condition choice."""
+    """Kinematic operators of a cell under one master-slave map: P expands through
+    it, ``phased`` dofs follow their master times a phase, ``slots`` serve ``reduce``."""
 
-    N_mu: np.ndarray
-    B_mu: np.ndarray
-    Y: np.ndarray
-    I_rigid: np.ndarray
     P: sparse.csr_matrix
-    bc: BoundaryCondition
-    horizontal_only: bool
+    grid: StructuredGrid = field(repr=False)
+    phased: np.ndarray = field(repr=False)
+    slots: tuple = field(repr=False)
 
     @property
     def nfree(self) -> int:
         return self.P.shape[1]
+
+    @functools.cached_property
+    def _bases(self):
+        """(N_mu, B_mu, Y, I_rigid) of the grid, built on first use: maps such
+        as the Bloch one need none of them."""
+        return averaging_operators(self.grid) + kinematic_basis(self.grid)
+
+    N_mu, B_mu, Y, I_rigid = (property(lambda self, k=k: self._bases[k]) for k in range(4))
+
+
+def _slot_map(grid: StructuredGrid, columns: np.ndarray, phased: np.ndarray, P):
+    """Assembly pattern, kept entries (P selects) or each entry's reduced slot (one
+    past the last if prescribed), reduced pattern, and phased entries with flags."""
+    indptr, indices, _ = _pattern(grid.ndof, grid.element_dofs().tobytes())
+    rows = np.repeat(np.arange(grid.ndof, dtype=np.int32), np.diff(indptr))
+    r, c = columns[rows], columns[indices]
+    kept = (r >= 0) & (c >= 0)
+    red_indptr, red_indices, kept_slot = _csr_slots(r[kept], c[kept], P.shape[1])
+    if P.nnz == P.shape[1]:   # P selects dofs in order: gather the kept entries
+        keep, slot = np.flatnonzero(kept).astype(np.int32), None
+    else:   # intp: bincount would convert any other index type on every call
+        keep, slot = None, np.full(len(indices), len(red_indices), dtype=np.intp)
+        slot[kept] = kept_slot
+    in_row, in_col = phased[rows], phased[indices]
+    at = np.flatnonzero(in_row | in_col).astype(np.int32)
+    return (indptr, indices, keep, slot, red_indptr, red_indices,
+            (at, in_row[at].view(np.uint8), in_col[at].view(np.uint8)))
 
 
 def _check_periodic_pairs(grid: StructuredGrid):
@@ -208,78 +240,64 @@ def _check_periodic_pairs(grid: StructuredGrid):
 
 def build_constraints(grid: StructuredGrid, bc: BoundaryCondition,
                       horizontal_only: bool = False) -> ConstraintOperators:
-    """Selection/periodicity operator P plus the averaging and rigid bases.
-
-    ``horizontal_only`` additionally prescribes every vertical dof, matching
-    the one-directional reduced analyses of the optimizer.
-    """
-    N_mu, B_mu = averaging_operators(grid)
-    Y, I_rigid = kinematic_basis(grid)
-    nnode = grid.nnode
-    directions = (0,) if horizontal_only else (0, 1)
-
-    boundary = np.zeros(nnode, dtype=bool)
-    for arr in (grid.left, grid.right, grid.bottom, grid.top):
-        boundary[arr] = True
-
-    rows: list[int] = []
-    cols: list[int] = []
-
+    """Master-slave map of ``bc`` (every dof follows at most one master dof
+    in its own direction; columns run over the master nodes, directions
+    fastest) plus the averaging and rigid bases. ``horizontal_only``
+    additionally prescribes every vertical dof, matching the one-directional
+    reduced analyses of the optimizer."""
+    nodes = np.arange(grid.nnode)
+    boundary = np.isin(nodes, np.concatenate([grid.left, grid.right, grid.bottom, grid.top]))
+    master = nodes.copy()            # the node each node follows, -1: prescribed
     if bc is BoundaryCondition.FULLY_PRESCRIBED:
-        free_nodes = np.flatnonzero(~boundary)
-        col = 0
-        for node in free_nodes:
-            for d in directions:
-                rows.append(2 * node + d)
-                cols.append(col)
-                col += 1
-    elif bc is BoundaryCondition.FREE:
-        col = 0
-        for node in range(nnode):
-            for d in directions:
-                rows.append(2 * node + d)
-                cols.append(col)
-                col += 1
-    elif bc is BoundaryCondition.PERIODIC_PINNED:
+        master[boundary] = -1
+    elif bc is not BoundaryCondition.FREE:
         _check_periodic_pairs(grid)
-        corner_set = set(int(c) for c in grid.corners)
-        master_of = np.full(nnode, -1, dtype=np.int64)
-        interior = np.flatnonzero(~boundary)
-        masters = list(interior)
-        for a, b in zip(grid.left, grid.right):
-            if int(a) in corner_set:
-                continue
-            masters.append(int(a))
-            master_of[b] = a
-        for a, b in zip(grid.bottom, grid.top):
-            if int(a) in corner_set:
-                continue
-            masters.append(int(a))
-            master_of[b] = a
-        # corners stay prescribed (zero microfluctuation) to pin rigid motion
-        col = 0
-        col_of: dict[tuple[int, int], int] = {}
-        for node in masters:
-            for d in directions:
-                col_of[(int(node), d)] = col
-                rows.append(2 * int(node) + d)
-                cols.append(col)
-                col += 1
-        for node in range(nnode):
-            m = master_of[node]
-            if m < 0:
-                continue
-            for d in directions:
-                rows.append(2 * node + d)
-                cols.append(col_of[(int(m), d)])
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unsupported boundary condition {bc}")
+        master[grid.right] = grid.left
+        master[grid.top] = master[grid.bottom]   # the (L, H) corner follows (0, 0)
+        if bc is BoundaryCondition.PERIODIC_PINNED:
+            master[grid.corners] = -1   # zero microfluctuation pins rigid motion
+    order = nodes[master == nodes]
+    if bc is BoundaryCondition.PERIODIC_PINNED:   # interior, then left and bottom edges
+        edges = np.concatenate([grid.left, grid.bottom])
+        order = np.concatenate([nodes[~boundary], edges[master[edges] >= 0]])
+    width = 1 if horizontal_only else 2
+    col = np.full(grid.nnode + 1, -1)    # the last entry serves master = -1
+    col[order] = width * np.arange(len(order))
+    col, d = col[master][:, None], np.arange(2)
+    columns = np.where((col >= 0) & (d < width), col + d, -1).ravel()   # per dof
+    rows = np.flatnonzero(columns >= 0)
+    P = sparse.csr_matrix((np.ones(len(rows)), (rows, columns[rows])),
+                          shape=(grid.ndof, width * len(order)))
+    phased = np.repeat(np.isin(nodes, grid.right) & (bc is BoundaryCondition.PERIODIC), 2)
+    return ConstraintOperators(P=P, grid=grid,
+                               phased=phased, slots=_slot_map(grid, columns, phased, P))
 
-    ncols = max(cols) + 1 if cols else 0
-    P = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                          shape=(grid.ndof, ncols)).tocsr()
-    return ConstraintOperators(N_mu=N_mu, B_mu=B_mu, Y=Y, I_rigid=I_rigid,
-                               P=P, bc=bc, horizontal_only=horizontal_only)
+
+def reduce(A: sparse.csr_matrix, ops: ConstraintOperators,
+           phase: complex | None = None) -> sparse.csr_matrix:
+    """P^H A P for A on the grid's assembly pattern, phased dofs times
+    ``phase`` when given: A's stored entries summed in the order a sparse
+    product P^H (A P) adds them, exact zeros dropped as it drops them."""
+    indptr, indices, keep, slot, red_indptr, red_indices, (at, in_row, in_col) = ops.slots
+    if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
+        raise ValueError("matrix is not on the grid's assembly pattern")
+    n = len(red_indices)
+    real = A.data
+    if phase is not None:
+        # conj(t_row) (a t_col), t = 1 or phase, in the product's arithmetic
+        re, im = np.array([1.0, phase.real]), np.array([0.0, phase.imag])
+        a = A.data[at]
+        ar, ai, cr, ci = a * re[in_col], a * im[in_col], re[in_row], im[in_row]
+        real = A.data.copy()
+        real[at] = cr * ar + ci * ai
+    data = real[keep] if slot is None else np.bincount(slot, weights=real, minlength=n + 1)[:n]
+    if phase is not None:
+        data = data.astype(complex)
+        data.imag = np.bincount(slot[at], weights=cr * ai - ci * ar, minlength=n + 1)[:n]
+    nonzero = data != 0
+    indptr = np.concatenate(([0], np.cumsum(nonzero, dtype=np.int32)))[red_indptr]
+    return sparse.csr_matrix((data[nonzero], red_indices[nonzero], indptr),
+                             shape=(ops.nfree,) * 2)
 
 
 def gauss_displacements(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:

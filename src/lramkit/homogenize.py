@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import brentq
 
 from . import fem, modal
@@ -95,7 +94,7 @@ def quasi_static(K, ops: fem.ConstraintOperators, volume: float,
 @dataclass(frozen=True)
 class CellModes:
     """Viscosity-free part of a cell's homogenization: the reduced modal system
-    plus, filled in by ``cell_modes``, the quasi-static tensor and basis."""
+    plus, filled in by ``cell_modes``, the quasi-static tensor, basis and map."""
 
     rho_bar: float
     Q: np.ndarray
@@ -103,10 +102,9 @@ class CellModes:
     solution: modal.ModalSolution
     kept: np.ndarray
     coupling: np.ndarray                # (d, count) volume-averaged <rho phi>
-    P: sparse.csr_matrix = field(repr=False)
     C_eff: np.ndarray | None = None
     Y_tilde: np.ndarray | None = field(default=None, repr=False)  # (ndof, 3)
-    grid: StructuredGrid | None = None
+    ops: fem.ConstraintOperators | None = field(default=None, repr=False)
 
 
 def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
@@ -172,7 +170,7 @@ def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, count: int,
     Q = coupling[:, kept] * math.sqrt(volume)
     omega2 = sol.eigenvalues[kept].copy()
     return CellModes(rho_bar=rho_bar, Q=Q, omega2=omega2, solution=sol, kept=kept,
-                     coupling=coupling, P=P)
+                     coupling=coupling)
 
 
 def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
@@ -183,31 +181,30 @@ def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
     M, K = fem.assemble(grid, fields)
     ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC_PINNED)
     volume = grid.area
-    P = ops.P
-    Kr = (P.T @ (K @ P)).tocsr()
-    Mr = (P.T @ (M @ P)).tocsr()
+    Kr = fem.reduce(K, ops)
+    Mr = fem.reduce(M, ops)
     # one factorization serves the quasi-static solve and the eigensolves
     try:
         factor = modal.shift_invert(Kr, Mr, shift=0.0)
     except SolverFailureError as err:
         raise ConstraintError(f"reduced stiffness singular: {err}") from err
     C_eff, Y_tilde = quasi_static(K, ops, volume, factor)
-    red = reduced_inertial_system(M, Kr, Mr, P, ops.I_rigid, volume, count=count,
+    red = reduced_inertial_system(M, Kr, Mr, ops.P, ops.I_rigid, volume, count=count,
                                   delta_tol=delta_tol, keep_below_hz=keep_below_hz,
                                   factor=factor)
-    return replace(red, C_eff=C_eff, Y_tilde=Y_tilde, grid=grid)
+    return replace(red, C_eff=C_eff, Y_tilde=Y_tilde, ops=ops)
 
 
 def effective_material(cell: CellModes, fields: GaussPointFields) -> EffectiveMaterial:
     """Effective record of ``cell`` with the viscosity of ``fields``: assembles
     only the damping matrix and projects it onto the quasi-static basis
     (eta_eff) and the kept modes (omega_d)."""
-    grid, sol, kept = cell.grid, cell.solution, cell.kept
+    grid, sol, kept = cell.ops.grid, cell.solution, cell.kept
     volume = grid.area
     C = fem.damping_matrix(grid, fields)
     eta_eff = (cell.Y_tilde.T @ (C @ cell.Y_tilde)) / volume
     eta_eff = 0.5 * (eta_eff + eta_eff.T)
-    Cr = (cell.P.T @ (C @ cell.P)).tocsr()
+    Cr = fem.reduce(C, cell.ops)
     phi_kept = sol.modes[:, kept]
     omega_d = phi_kept.T @ (Cr @ phi_kept)
     omega_d = 0.5 * (omega_d + omega_d.T)

@@ -268,9 +268,7 @@ def rigid_projections(sol: ModalSolution, M_red, translations: np.ndarray) -> np
     are skipped. Modes are mass-normalized, so the squared M-projections
     onto the normalized translations sum to at most 1.
     """
-    t = np.atleast_2d(np.asarray(translations, dtype=float))
-    if t.shape[0] != sol.modes.shape[0]:
-        t = t.T
+    t = np.asarray(translations, dtype=float)
     proj2 = np.zeros(sol.count)
     for d in range(t.shape[1]):
         td = t[:, d]

@@ -69,7 +69,12 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
         result.exit_code = 1
         return result
 
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        log(f"error: cannot create {out}: {exc}")
+        result.exit_code = 1
+        return result
     artifacts: list[Path] = []
 
     def emit(path: Path):
@@ -145,7 +150,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                                          delta_tol=cfg.delta_tol,
                                          keep_below_hz=cfg.mode_ceiling_hz)
             top_hz = cell.solution.frequencies_hz[-1]
-            if top_hz < cfg.mode_ceiling_hz and cell.solution.count < cell.P.shape[1]:
+            if top_hz < cfg.mode_ceiling_hz and cell.solution.count < cell.ops.nfree:
                 log(f"warning: the cell modes stop at {top_hz:.2f} Hz, short of the "
                     f"{cfg.mode_ceiling_hz:g} Hz mode ceiling; resonances above it "
                     "are left out of the effective material")

@@ -47,14 +47,14 @@ def feasibility_lower_limit(phases, cell_size: float) -> float:
     """Theoretical lower bound (rad/s) on the first restricted resonance.
 
     sqrt(min_i(K_i + 4G_i/3) / max_i rho_i) / cell_size over the supplied
-    phases; targets below it are unreachable for this cell size.
+    phases (infinite if all are massless); targets below it are unreachable.
     """
     phases = list(phases)
     if not phases:
         raise ValueError("at least one phase required")
     stiff = min(p.p_wave_modulus for p in phases)
     dens = max(p.rho for p in phases)
-    return math.sqrt(stiff / dens) / cell_size
+    return math.sqrt(stiff / dens) / cell_size if dens > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,8 @@ class OptimizeResult:
 def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool):
     """Smallest modes of the reduced pencil plus relevance indices."""
     P = ops.P
-    dofs = P.tocsc().indices   # P selects one dof per column, in order
-    Kr = K[dofs][:, dofs]
-    Mr = M[dofs][:, dofs]
+    Kr = fem.reduce(K, ops)
+    Mr = fem.reduce(M, ops)
     rho_bar = modal.average_density(M, ops.I_rigid, volume)
 
     def relevant(sol):
@@ -191,7 +190,7 @@ def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool
             return modal.filter_relevant_restricted(
                 sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
         mean = modal.mean_displacement(sol, ops.N_mu, P)
-        proj = modal.rigid_projections(sol, Mr, ops.I_rigid[dofs])
+        proj = modal.rigid_projections(sol, Mr, P.T @ ops.I_rigid)
         return modal.filter_relevant_unrestricted(
             sol, mean, 1.0 / math.sqrt(rho_bar * volume), proj, delta_tol)
 

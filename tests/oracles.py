@@ -3,11 +3,12 @@
 Everything here is derived without touching the package's assembly or
 solver paths: symbolic element integration, closed-form laminate mixing,
 textbook plane-wave transfer through a three-media stack, plain dense
-eigendecompositions.
+eigendecompositions, node-by-node constraint maps.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 def q4_element_matrices_symbolic(hx: float, hy: float, C: np.ndarray, rho: float):
@@ -113,3 +114,84 @@ def chain_matrices(masses, springs):
             K[i, i + 1] -= k[i + 1]
             K[i + 1, i] -= k[i + 1]
     return K, np.diag(m)
+
+
+def master_slave_map(grid, bc: str, horizontal_only: bool = False,
+                     kappa: float = 0.0):
+    """Node-by-node constraint operator P (csr) of a cell.
+
+    ``bc`` is "free", "fully-prescribed", "periodic-pinned" (corners
+    prescribed, right/top edge nodes follow left/bottom ones) or "periodic"
+    (unpinned: every node follows the node (i mod nx, j mod ny), times
+    e^{i kappa L} when it sits on x = L). Columns run over the masters,
+    directions fastest.
+    """
+    nnode = grid.nnode
+    directions = (0,) if horizontal_only else (0, 1)
+    boundary = np.zeros(nnode, dtype=bool)
+    for arr in (grid.left, grid.right, grid.bottom, grid.top):
+        boundary[arr] = True
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list = []
+
+    if bc == "fully-prescribed":
+        col = 0
+        for node in np.flatnonzero(~boundary):
+            for d in directions:
+                rows.append(2 * node + d)
+                cols.append(col)
+                col += 1
+    elif bc == "free":
+        col = 0
+        for node in range(nnode):
+            for d in directions:
+                rows.append(2 * node + d)
+                cols.append(col)
+                col += 1
+    elif bc == "periodic-pinned":
+        corner_set = set(int(c) for c in grid.corners)
+        master_of = np.full(nnode, -1, dtype=np.int64)
+        masters = list(np.flatnonzero(~boundary))
+        for a, b in zip(grid.left, grid.right):
+            if int(a) in corner_set:
+                continue
+            masters.append(int(a))
+            master_of[b] = a
+        for a, b in zip(grid.bottom, grid.top):
+            if int(a) in corner_set:
+                continue
+            masters.append(int(a))
+            master_of[b] = a
+        col = 0
+        col_of: dict[tuple[int, int], int] = {}
+        for node in masters:
+            for d in directions:
+                col_of[(int(node), d)] = col
+                rows.append(2 * int(node) + d)
+                cols.append(col)
+                col += 1
+        for node in range(nnode):
+            m = master_of[node]
+            if m < 0:
+                continue
+            for d in directions:
+                rows.append(2 * node + d)
+                cols.append(col_of[(int(m), d)])
+    elif bc == "periodic":
+        nx, ny = grid.nx, grid.ny
+        phase = np.exp(1j * kappa * grid.width)
+        for j in range(ny + 1):
+            for i in range(nx + 1):
+                master = (j % ny) * nx + i % nx
+                for k, d in enumerate(directions):
+                    rows.append(2 * grid.node_id(i, j) + d)
+                    cols.append(len(directions) * master + k)
+                    vals.append(phase if i == nx else 1.0)
+    else:
+        raise ValueError(f"unknown boundary condition {bc!r}")
+
+    if not vals:
+        vals = [1.0] * len(rows)
+    ncols = max(cols) + 1 if cols else 0
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(grid.ndof, ncols)).tocsr()

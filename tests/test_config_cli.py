@@ -160,8 +160,20 @@ class TestValidate:
         cfg = parse_config("[optimize]\nalpha = 1.5\n")
         assert any("alpha" in d.message for d in self._errors(cfg))
 
-    def test_low_target_warns_about_limit(self):
+    def test_low_target_warns_about_limit(self, tmp_path):
+        """An error when the optimizer would raise on it, a warning when
+        the design comes from a level-set file."""
         cfg = parse_config("[optimize]\ntarget_f_hz = 50\n")
+        assert any("149" in d.message for d in self._errors(cfg))
+        # the optimizer's limit is that of its scaled phases: a soft frame lowers it
+        cfg = parse_config("[materials]\nframe_stiffness_scale = 1e-6\n"
+                           "[optimize]\ntarget_f_hz = 50\n")
+        assert not self._errors(cfg)
+        phi = tmp_path / "phi.txt"
+        _write_phi_design(phi, nx=60, ny=60)   # the default grid
+        cfg = parse_config(f"[optimize]\ntarget_f_hz = 50\n[output]\n"
+                           f"stages = homogenize\nlevel_set_file = {phi}\n")
+        assert not self._errors(cfg)
         warns = [d for d in validate(cfg) if d.severity == "warning"]
         assert any("149" in d.message for d in warns)
 
@@ -202,9 +214,17 @@ class TestValidate:
         "[output]\nstages = homogenize\nlevel_set_file = {tmp}/missing_phi.txt\n",
         "[output]\nstages = homogenize\nlevel_set_file = {tmp}/phi_2x2.txt\n",
         "[output]\nstages =\n",
+        "[materials]\nframe_stiffness_scale = 0\n",
+        "[materials]\nframe_stiffness_scale = -1e6\n",
+        "[materials]\nsoft_density_scale = -1e-10\n",
+        "[optimize]\ndelta_tol = 1\n",
+        "[optimize]\ndelta_tol = -0.001\n",
+        "[optimize]\ntarget_f_hz = 149\n",
+        "[materials]\ncard = {tmp}/massless.card\nframe = m\ndense = m\nsoft = m\n",
     ])
     def test_configs_that_would_crash_are_rejected(self, tmp_path, text):
         (tmp_path / "phi_2x2.txt").write_text("1 1\n1 1\n")   # wrong shape
+        (tmp_path / "massless.card").write_text("[m]\nrho = 0\nK = 1e9\nG = 1e9\n")
         cfg = parse_config(text.format(tmp=tmp_path))
         assert self._errors(cfg)
         cfg.out_dir = str(tmp_path / "never")
@@ -405,3 +425,18 @@ class TestCLI:
                          "--out", str(target)])
         assert code == 0
         assert (target / "effective_material_mu0.txt").exists()
+
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_uncreatable_out_dir_exits_one(self, tmp_path, capsys, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        target = blocker if where == "file" else blocker / "sub"
+        cfg_file = _gated_config(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["homogenize", "--config", str(cfg_file), "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.out.splitlines() if line.startswith("error")]
+        assert len(errors) == 1 and str(target) in errors[0]
+        assert "Traceback" not in captured.out + captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "not a directory\n"

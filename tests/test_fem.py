@@ -9,7 +9,7 @@ from lramkit.errors import InvalidMaterialError, MeshIncompatibilityError
 from lramkit.grid import StructuredGrid, build_grid
 from lramkit.materials import isotropic_tensors, uniform_fields
 
-from oracles import q4_element_matrices_symbolic
+from oracles import master_slave_map, q4_element_matrices_symbolic
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +253,84 @@ class TestConstraints:
                              bottom=g.bottom, top=g.top, corners=g.corners)
         with pytest.raises(MeshIncompatibilityError):
             fem.build_constraints(bad, fem.BoundaryCondition.PERIODIC_PINNED)
+
+
+BC = fem.BoundaryCondition
+# the real maps: FREE and FULLY_PRESCRIBED with and without horizontal_only,
+# and both periodic ones
+REAL_MAPS = [(BC.FREE, False), (BC.FREE, True), (BC.FULLY_PRESCRIBED, False),
+             (BC.FULLY_PRESCRIBED, True), (BC.PERIODIC_PINNED, False),
+             (BC.PERIODIC, False)]
+
+
+def _map_grid(name):
+    """The 7x4 and 3x5 grids, plus the 7x4 one with its elements reversed."""
+    g74 = build_grid(7, 4, 0.01)
+    return {"7x4": g74, "3x5": build_grid(3, 5, 0.02),
+            "7x4-reversed": dataclasses.replace(g74, elements=g74.elements[::-1].copy())}[name]
+
+
+def _random_matrices(g, epoxy):
+    """(M, K, C) of random Gauss-point fields on ``g``."""
+    rng = np.random.default_rng(5)
+    L = rng.standard_normal((g.nelem, 4, 3, 3))
+    fields = uniform_fields(g, epoxy).__class__(
+        rho=rng.uniform(1000.0, 9000.0, size=(g.nelem, 4)),
+        C=np.einsum("ngab,ngcb->ngac", L, L) + 3.0 * np.eye(3),
+        eta=1e-3 * np.einsum("ngab,ngcb->ngac", L[::-1], L[::-1]))
+    M, K = fem.assemble(g, fields)
+    return M, K, fem.damping_matrix(g, fields)
+
+
+@pytest.mark.parametrize("grid_name", ["7x4", "3x5", "7x4-reversed"])
+class TestMasterSlaveMap:
+    @pytest.mark.parametrize("bc, horizontal", REAL_MAPS)
+    def test_map_matches_node_loop(self, grid_name, bc, horizontal):
+        g = _map_grid(grid_name)
+        ops = fem.build_constraints(g, bc, horizontal_only=horizontal)
+        ref = master_slave_map(g, bc.value, horizontal_only=horizontal)
+        assert ops.P.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(ops.P, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("bc, horizontal", REAL_MAPS)
+    def test_reduce_is_the_sparse_product(self, epoxy, grid_name, bc, horizontal):
+        """Bitwise P^T A P, zeros dropped, for M (whose pattern stores the
+        zero x-y couplings), K and C."""
+        g = _map_grid(grid_name)
+        ops = fem.build_constraints(g, bc, horizontal_only=horizontal)
+        P = ops.P
+        for A in _random_matrices(g, epoxy):
+            red = fem.reduce(A, ops)
+            ref = (P.T @ (A @ P)).tocsr()
+            ref.sort_indices()
+            assert red.shape == ref.shape and red.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(red, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("kL", [0.0, 0.3 * np.pi, -np.pi])
+    def test_bloch_reduce_is_the_phased_product(self, epoxy, grid_name, kL):
+        g = _map_grid(grid_name)
+        ops = fem.build_constraints(g, BC.PERIODIC)
+        kappa = kL / g.width
+        T = master_slave_map(g, "periodic", kappa=kappa)
+        for A in _random_matrices(g, epoxy):
+            red = fem.reduce(A, ops, np.exp(1j * kappa * g.width))
+            ref = (T.conj().T @ (A @ T)).tocsr()
+            assert red.dtype == complex and red.nnz == ref.nnz
+            assert abs(red - ref).max() <= 1e-15 * abs(ref).max()
+
+    def test_reduce_rejects_matrix_off_the_pattern(self, epoxy, grid_name):
+        g = _map_grid(grid_name)
+        ops = fem.build_constraints(g, BC.PERIODIC_PINNED)
+        M, _, _ = _random_matrices(g, epoxy)
+        fem.reduce(M, ops)
+        squeezed = M.copy()
+        squeezed.eliminate_zeros()    # drops the x-y couplings M stores as zeros
+        other, _, _ = _random_matrices(build_grid(4, 4, 0.01), epoxy)
+        for A in (squeezed, sparse.identity(g.ndof, format="csr"), other):
+            with pytest.raises(ValueError, match="assembly pattern"):
+                fem.reduce(A, ops)
 
 
 class TestMassTemplates:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lramkit import homogenize, panel
+from lramkit.errors import ResonanceSingularityError
 from lramkit.grid import build_grid
 from lramkit.materials import MaterialPhase, uniform_fields
 
@@ -53,6 +54,14 @@ class TestAssembleMacro:
 
 
 class TestSolveRT:
+    def test_singular_system_raises(self, steel_em):
+        """With the panel's matrices zeroed the macro system keeps only the
+        rank-2 air loading: a zero pivot, reported, not warned about."""
+        p = panel.PanelModel(steel_em)
+        p._dense = tuple(np.zeros_like(a) for a in p._dense)
+        with pytest.raises(ResonanceSingularityError, match="singular"):
+            panel.solve_RT(p, 2 * math.pi * 500.0)
+
     def test_air_like_panel_transmits_fully(self):
         """Impedance-matched panel (rho_a, longitudinal speed v_a).
 

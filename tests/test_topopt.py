@@ -32,6 +32,10 @@ class TestFeasibilityLimit:
         with pytest.raises(ValueError):
             topopt.feasibility_lower_limit([], 1.0)
 
+    def test_massless_phases_unbounded(self):
+        p = MaterialPhase("m", rho=0.0, K=1.0, G=1.0)
+        assert topopt.feasibility_lower_limit([p, p], 1.0) == math.inf
+
 
 class TestCost:
     def test_exact_fit_alpha_one(self):
