@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fem, modal
 from .errors import ConstraintError, PoleError, SolverFailureError
@@ -102,6 +101,7 @@ class CellModes:
     solution: modal.ModalSolution
     kept: np.ndarray
     coupling: np.ndarray                # (d, count) volume-averaged <rho phi>
+    modes_below: int | None = None      # eigenvalues below keep_below_hz, if counted
     C_eff: np.ndarray | None = None
     Y_tilde: np.ndarray | None = field(default=None, repr=False)  # (ndof, 3)
     ops: fem.ConstraintOperators | None = field(default=None, repr=False)
@@ -141,14 +141,17 @@ def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
 def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, count: int,
                             delta_tol: float = 1e-3,
                             keep_below_hz: float | None = None,
-                            factor: modal.ShiftInvert | None = None) -> CellModes:
+                            factor: modal.ShiftInvert | None = None,
+                            modes_below: int | None = None) -> CellModes:
     """Modal reduction of the constrained inertial problem.
 
     Solves the undamped constrained pencil (Kr, Mr) = P^T (K, M) P, shifted
     by zero (``factor``, when given, is that factorization), and selects
     modes with significant momentum coupling (and below ``keep_below_hz``
-    when given). The coupling columns are scaled so that Q Q^T carries
-    density units, making rho_eff a true density.
+    when given). ``modes_below``, when given, is the number of eigenvalues
+    below ``keep_below_hz`` and sets where the mode-count growth starts
+    (``modal.solve_relevant``). The coupling columns are scaled so that
+    Q Q^T carries density units, making rho_eff a true density.
     """
     rho_bar = modal.average_density(M, I_rigid, volume)
 
@@ -160,7 +163,7 @@ def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, count: int,
 
     _, (sol, coupling, relevant) = modal.solve_relevant(
         Kr, Mr, count, relevance, shift=0.0, system="restricted",
-        cover_hz=keep_below_hz, factor=factor)
+        cover_hz=keep_below_hz, factor=factor, below=modes_below)
 
     kept = relevant
     if keep_below_hz is not None:
@@ -170,19 +173,28 @@ def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, count: int,
     Q = coupling[:, kept] * math.sqrt(volume)
     omega2 = sol.eigenvalues[kept].copy()
     return CellModes(rho_bar=rho_bar, Q=Q, omega2=omega2, solution=sol, kept=kept,
-                     coupling=coupling)
+                     coupling=coupling, modes_below=modes_below)
 
 
 def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
                delta_tol: float = 1e-3,
                keep_below_hz: float | None = 6000.0) -> CellModes:
     """Periodic quasi-static tensor and undamped modal basis of a cell, once
-    per design; the viscosity in ``fields`` is ignored."""
+    per design; the viscosity in ``fields`` is ignored.
+
+    With ``keep_below_hz`` given, an inertia count of the pencil at that
+    frequency says how many modes the eigensolve needs, so it runs once at
+    the mode count the growth would stop at, not once per count on the way.
+    """
     M, K = fem.assemble(grid, fields)
     ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC_PINNED)
     volume = grid.area
     Kr = fem.reduce(K, ops)
     Mr = fem.reduce(M, ops)
+    # counted first: its factorization is freed before the zero-shift one exists
+    modes_below = None
+    if keep_below_hz is not None:
+        modes_below = modal.count_below(Kr, Mr, (2.0 * math.pi * keep_below_hz) ** 2)
     # one factorization serves the quasi-static solve and the eigensolves
     try:
         factor = modal.shift_invert(Kr, Mr, shift=0.0)
@@ -191,7 +203,7 @@ def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
     C_eff, Y_tilde = quasi_static(K, ops, volume, factor)
     red = reduced_inertial_system(M, Kr, Mr, ops.P, ops.I_rigid, volume, count=count,
                                   delta_tol=delta_tol, keep_below_hz=keep_below_hz,
-                                  factor=factor)
+                                  factor=factor, modes_below=modes_below)
     return replace(red, C_eff=C_eff, Y_tilde=Y_tilde, ops=ops)
 
 
@@ -265,6 +277,9 @@ def bandgap_edges(em: EffectiveMaterial, axis: int = 0,
     the real part of rho_eff returns to positive. Returns None when no
     coupled resonance lies below ``f_max_hz``.
     """
+    # imported here, its only use: scipy.optimize is heavy and no stage needs it
+    from scipy.optimize import brentq
+
     poles = em.poles_hz(axis=axis)
     poles = poles[poles < f_max_hz]
     if poles.size == 0:

@@ -6,8 +6,10 @@ one path: K - sigma M is factored once with a sparse LU and handed to
 ARPACK as the shift-invert operator, started from a fixed vector. The shift
 is zero unless the caller gives one; a zero shift whose factorization fails
 (singular K) falls back to a small negative one. ``solve_relevant`` grows
-the mode count on that one factorization. Only requests for (nearly) all
-eigenpairs, which ARPACK cannot serve, take a dense solve.
+the mode count on that one factorization, starting, when the caller knows
+how many eigenvalues lie below its frequency ceiling, at the first count
+that reaches past them. Only requests for (nearly) all eigenpairs, which
+ARPACK cannot serve, take a dense solve.
 
 Precondition: the shift lies below the pencil's spectrum, so K - sigma M is
 positive definite. The factorization relies on it: it uses a symmetric
@@ -15,6 +17,12 @@ minimum-degree ordering and takes its pivots from the diagonal without
 searching. The optimizer shifts by 0 (restricted) and by a negative value
 (free), homogenization by 0 with the corners pinned, the Bloch solves by
 -(2 pi 5 Hz)^2.
+
+``count_below`` is the only factorization of an indefinite pencil: it
+factors K - sigma M the same way at a sigma inside the spectrum, not to
+solve with it but to count the eigenvalues below sigma (Sylvester inertia).
+Its count is trusted only when every pivot stayed on the diagonal; otherwise
+it gives None and the caller grows the count as before.
 
 Relevance of a mode is judged by its momentum coupling <rho phi>
 (restricted systems) or its mean displacement <phi> (unrestricted systems),
@@ -97,6 +105,36 @@ def _residuals(K, M, vals, vecs):
     return res
 
 
+def _splu(A):
+    """Sparse LU of the csr matrix A with a symmetric ordering and pivots
+    taken from the diagonal without searching."""
+    # a real symmetric csr matrix is its own transpose, which is csc
+    A = A.tocsc() if np.iscomplexobj(A) else A.T
+    return spla.splu(A, permc_spec="MMD_ATA", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+def count_below(K, M, sigma: float) -> int | None:
+    """Number of eigenvalues of the pencil (K, M) below ``sigma``, or None.
+
+    K symmetric (Hermitian) and M positive definite, as for
+    ``solve_smallest``; K - sigma M is factored as in ``shift_invert``. While every pivot stays
+    on the diagonal (perm_r == perm_c) that factorization is a congruence
+    L D L^T with D = diag(U), and by Sylvester's law of inertia the negative
+    entries of D count the eigenvalues below sigma. A pivot off the diagonal
+    breaks the congruence, so the count is then not trusted; that case and
+    a failed (singular) factorization give None.
+    """
+    K, M = _as_csr(K), _as_csr(M)
+    try:
+        lu = _splu(K - float(sigma) * M)
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(np.real(lu.U.diagonal()) < 0.0))
+
+
 def shift_invert(K, M, shift: float | None = None) -> ShiftInvert:
     """Factor K - sigma M once for any number of solves of the pencil.
 
@@ -113,11 +151,8 @@ def shift_invert(K, M, shift: float | None = None) -> ShiftInvert:
     last_err: Exception | None = None
     for sigma in sigmas:
         A = K if sigma == 0.0 else K - sigma * M
-        # a real symmetric csr matrix is its own transpose, which is csc
-        A = A.tocsc() if np.iscomplexobj(A) else A.T
         try:
-            lu = spla.splu(A, permc_spec="MMD_ATA", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
+            lu = _splu(A)
         except RuntimeError as err:
             last_err = err
             continue
@@ -189,20 +224,27 @@ def _without_top_cluster(sol: ModalSolution) -> ModalSolution:
 
 def solve_relevant(K, M, count: int, relevant, shift: float | None = None,
                    system: str = "", cover_hz: float | None = None,
-                   factor: ShiftInvert | None = None):
+                   factor: ShiftInvert | None = None, below: int | None = None):
     """(sol, relevant(sol)), doubling ``count`` up to min(_COUNT_CAP, n) while
     ``relevant`` raises NoRelevantModeError (re-raised at the cap) or, with
     ``cover_hz`` given, while the highest computed mode lies below it.
 
     The pencil is factored once for all counts (``factor``, when given, is
-    that factorization and ``shift`` is ignored). When the cap stops the growth
-    short of ``cover_hz``, the top eigenvalue cluster is dropped before
-    ``relevant`` sees it: the rest of a degenerate cluster may lie above the
-    cap, and a partial cluster has no well-defined basis.
+    that factorization and ``shift`` is ignored). ``below``, when given, is
+    the number of eigenvalues below ``cover_hz`` (``count_below``): every
+    count of the doubling ladder up to it would end short of ``cover_hz``,
+    so the first solve is at the first ladder count above it, with the same
+    result as growing there. When the cap stops the growth short of
+    ``cover_hz``, the top eigenvalue cluster is dropped before ``relevant``
+    sees it: the rest of a degenerate cluster may lie above the cap, and a
+    partial cluster has no well-defined basis.
     """
     K, M = _as_csr(K), _as_csr(M)
     n = K.shape[0]
     cap = min(_COUNT_CAP, n)
+    if below is not None:
+        while count <= below and count < cap:
+            count = min(2 * count, cap)
     while True:
         if factor is None and count < n - 1:
             factor = shift_invert(K, M, shift)

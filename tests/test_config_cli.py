@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lramkit
 from lramkit import cli, dispersion, homogenize, modal, pipeline
 from lramkit.config import (
     Diagnostic,
@@ -360,10 +365,21 @@ class TestPipelineRun:
         cfg.modes = 2
         cfg.band_top_hz = 1e6    # far above the 4 modes the cap allows
         cfg.stages = ("homogenize",)
+        counts = []
+        count_below = modal.count_below
+
+        def recording(*args):
+            counts.append(count_below(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(modal, "count_below", recording)
         lines = []
         result = pipeline.run(cfg, log=lines.append)
         assert result.exit_code == 0
-        assert any("mode ceiling" in line for line in lines)
+        assert len(counts) == 1 and counts[0] > 4
+        warnings = [line for line in lines if "mode ceiling" in line]
+        assert len(warnings) == 1
+        assert f"of the {counts[0]} modes below 1e+06 Hz" in warnings[0]
 
     def test_read_phi_shape_check(self, tmp_path):
         p = tmp_path / "phi.txt"
@@ -373,6 +389,17 @@ class TestPipelineRun:
 
 
 class TestCLI:
+    def test_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize pulls in linprog, scipy.fft and numpy.f2py, which
+        # every CLI start would pay for; only bandgap_edges uses it
+        src = str(Path(lramkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        code = "import sys, lramkit.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
     def test_validate_verb_ok(self, tmp_path, capsys):
         cfg_file = _gated_config(tmp_path)
         assert cli.main(["validate", "--config", str(cfg_file)]) == 0

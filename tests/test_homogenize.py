@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
-from lramkit import homogenize, rve
+from lramkit import fem, homogenize, modal, rve
 from lramkit.errors import PoleError
 from lramkit.grid import build_grid
 from lramkit.materials import GaussPointFields, isotropic_tensors, uniform_fields
@@ -141,6 +141,43 @@ class TestInertialReduction:
         y_modes = qy > 1e-3 * math.sqrt(em.rho_bar)
         assert np.any(y_modes)
         assert np.all(qx[y_modes] <= 1e-6 * math.sqrt(em.rho_bar))
+
+    def test_ceiling_count_makes_one_eigensolve(self, epoxy, steel, rubber, monkeypatch):
+        g = build_grid(12, 12, 0.01)
+        layout = rve.build_layout(g, frame_fraction=1.0 / 12.0)
+        chi = rve.chi_at_gauss(layout, _centered_square_phi(layout))
+        fields = rve.material_fields(layout, chi,
+                                     rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber))
+        M, K = fem.assemble(g, fields)
+        ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC_PINNED)
+        Kr, Mr = fem.reduce(K, ops), fem.reduce(M, ops)
+        vals = linalg.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True)
+        # 9 modes below the ceiling: the ladder 2, 4, 8 would end short of it
+        ceiling_hz = math.sqrt(0.5 * (vals[8] + vals[9])) / (2.0 * math.pi)
+
+        solves = []
+        solve_smallest = modal.solve_smallest
+
+        def recording(K, M, count, *args, **kwargs):
+            solves.append((count, solve_smallest(K, M, count, *args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(modal, "solve_smallest", recording)
+        cell = homogenize.cell_modes(g, fields, count=2, keep_below_hz=ceiling_hz)
+        assert cell.modes_below == 9
+        assert [count for count, _ in solves] == [16]
+
+        # the doubling ladder on the same factorization ends in the same bits
+        factor = modal.shift_invert(Kr, Mr, shift=0.0)
+        homogenize.reduced_inertial_system(M, Kr, Mr, ops.P, ops.I_rigid, g.area,
+                                           count=2, keep_below_hz=ceiling_hz,
+                                           factor=factor)
+        assert [count for count, _ in solves[1:]] == [2, 4, 8, 16]
+        monkeypatch.undo()
+        direct = modal.solve_smallest(Kr, Mr, 16, factor=factor)
+        for _, sol in (solves[0], solves[-1]):
+            np.testing.assert_array_equal(sol.eigenvalues, direct.eigenvalues)
+            np.testing.assert_array_equal(sol.modes, direct.modes)
 
 
 def _centered_square_phi(layout):

@@ -184,6 +184,26 @@ class TestSolveRelevant:
         assert rel.tolist() == [0, 1, 2, 3]
 
 
+class TestCountBelow:
+    def test_chain_counts_match_dense(self):
+        K, M = TestSolveRelevant.K, TestSolveRelevant.M
+        vals = TestSolveRelevant.vals
+        shifts = np.concatenate([[0.5 * vals[0]], 0.5 * (vals[:-1] + vals[1:]),
+                                 [2.0 * vals[-1]]])
+        counts = [modal.count_below(K, M, s) for s in shifts]
+        assert counts == [int(np.sum(vals < s)) for s in shifts]
+        assert counts == list(range(11))
+
+    def test_exact_pairs(self):
+        K = np.diag(np.repeat(np.arange(1.0, 7.0), 2))
+        assert modal.count_below(K, np.eye(12), 2.5) == 4
+
+    def test_off_diagonal_pivot_is_not_trusted(self):
+        # a zero diagonal forces a pivot off it, which breaks the congruence
+        K = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert modal.count_below(K, np.eye(2), 0.0) is None
+
+
 class TestRestrictedRelevance:
     def test_three_dof_chain_coupling(self):
         masses = [2.0, 1.0, 3.0]
