@@ -87,7 +87,6 @@ class PipelineConfig:
     f_min_hz: float = 5.0
     f_max_hz: float = 3000.0
     samples: int = 600
-    modes: int = 24
     band_top_hz: float | None = None   # mode-keeping ceiling; default 2 * f_max
     panel_cells: int = 1
     macro_nx: int = 4
@@ -130,14 +129,15 @@ _SCHEMA = {
                  "max_iters": int, "stop_tol": _finite, "delta_tol": _finite,
                  "frame_fraction": _finite, "snapshot_every": int},
     "analysis": {"viscosities": str, "f_min_hz": _finite, "f_max_hz": _finite,
-                 "samples": int, "modes": int, "band_top_hz": _finite,
+                 "samples": int, "band_top_hz": _finite,
                  "panel_cells": int, "macro_nx": int, "macro_ny": int,
                  "kappa_samples": int, "bloch_branches": int},
     "output": {"dir": str, "stages": str, "level_set_file": str},
 }
 
 # keys of earlier versions that still parse and are ignored
-_RETIRED = {("optimize", "stagnation_window"), ("output", "deterministic")}
+_RETIRED = {("optimize", "stagnation_window"), ("output", "deterministic"),
+            ("analysis", "modes")}
 
 _FIELD_OF = {
     ("materials", "card"): "material_card",
@@ -264,8 +264,10 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
         err(f"need 0 < f_min < f_max, got [{cfg.f_min_hz}, {cfg.f_max_hz}]")
     if any(v < 0 for v in cfg.viscosities):
         err(f"viscosities must be >= 0, got {cfg.viscosities}")
-    for name in ("modes", "bloch_branches", "kappa_samples", "panel_cells",
-                 "snapshot_every"):
+    if cfg.band_top_hz is not None and cfg.band_top_hz <= 0:
+        # the inertia shift (2 pi f)^2 would count below |band_top_hz|
+        err(f"band_top_hz must be positive, got {cfg.band_top_hz}")
+    for name in ("bloch_branches", "kappa_samples", "panel_cells", "snapshot_every"):
         if getattr(cfg, name) < 1:
             err(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if cfg.macro_nx < 2 or cfg.macro_ny < 2:

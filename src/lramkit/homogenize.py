@@ -6,8 +6,9 @@ inertial system (modal coupling vector, natural frequencies, modal damping
 matrix) that makes the macroscopic inertia frequency dependent.
 
 Stiffness and mass do not depend on the viscosity: ``cell_modes`` solves
-the cell once per design, and the viscosity enters only through the damping
-projection of ``effective_material``.
+the cell once per design, for exactly the modes below the mode ceiling, and
+the viscosity enters only through the damping projection of
+``effective_material``.
 
 Harmonic quantities follow the exp(-i w t) convention, so the dynamic
 density reads rho_eff(w) = rho_bar I + w^2 Q (W^2 - w^2 I - i w W_D)^-1 Q^T
@@ -21,9 +22,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem, modal
-from .errors import ConstraintError, PoleError, SolverFailureError
+from .errors import ConstraintError, NoRelevantModeError, PoleError, SolverFailureError
 from .grid import StructuredGrid
 from .materials import GaussPointFields
+
+# eigenvalues closer than this fraction of the largest one form one cluster
+CLUSTER_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,13 @@ class CellModes:
     solution: modal.ModalSolution
     kept: np.ndarray
     coupling: np.ndarray                # (d, count) volume-averaged <rho phi>
-    modes_below: int | None = None      # eigenvalues below keep_below_hz, if counted
     C_eff: np.ndarray | None = None
     Y_tilde: np.ndarray | None = field(default=None, repr=False)  # (ndof, 3)
     ops: fem.ConstraintOperators | None = field(default=None, repr=False)
 
 
 def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
-                      rel_tol: float = modal.CLUSTER_RTOL):
+                      rel_tol: float = CLUSTER_RTOL):
     """Rotate (near-)degenerate eigenspaces so coupling columns decouple.
 
     Repeated eigenvalues of symmetric cells come back from the solver in an
@@ -121,7 +124,7 @@ def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
     vals = sol.eigenvalues
     modes = sol.modes.copy()
     coupling = coupling.copy()
-    scale = max(float(np.abs(vals).max()), 1e-300)
+    scale = max(float(np.abs(vals).max(initial=0.0)), 1e-300)
     start = 0
     for end in range(1, len(vals) + 1):
         if end < len(vals) and abs(vals[end] - vals[end - 1]) <= rel_tol * scale:
@@ -138,53 +141,45 @@ def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
     return modal.ModalSolution(vals, modes, sol.residuals, sol.system), coupling
 
 
-def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, count: int,
+def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, modes_below: int,
                             delta_tol: float = 1e-3,
-                            keep_below_hz: float | None = None,
-                            factor: modal.ShiftInvert | None = None,
-                            modes_below: int | None = None) -> CellModes:
+                            factor: modal.ShiftInvert | None = None) -> CellModes:
     """Modal reduction of the constrained inertial problem.
 
     Solves the undamped constrained pencil (Kr, Mr) = P^T (K, M) P, shifted
-    by zero (``factor``, when given, is that factorization), and selects
-    modes with significant momentum coupling (and below ``keep_below_hz``
-    when given). ``modes_below``, when given, is the number of eigenvalues
-    below ``keep_below_hz`` and sets where the mode-count growth starts
-    (``modal.solve_relevant``). The coupling columns are scaled so that
-    Q Q^T carries density units, making rho_eff a true density.
+    by zero (``factor``, when given, is that factorization), once for its
+    ``modes_below`` smallest modes, the count below the mode ceiling, and
+    keeps those with significant momentum coupling; none may couple. The
+    coupling columns are scaled so that Q Q^T carries density units, making
+    rho_eff a true density.
     """
     rho_bar = modal.average_density(M, I_rigid, volume)
-
-    def relevance(sol):
-        coupling = modal.momentum_coupling(sol, M, P, I_rigid, volume)
-        sol, coupling = _align_degenerate(sol, coupling)
-        return sol, coupling, modal.filter_relevant_restricted(
-            sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
-
-    _, (sol, coupling, relevant) = modal.solve_relevant(
-        Kr, Mr, count, relevance, shift=0.0, system="restricted",
-        cover_hz=keep_below_hz, factor=factor, below=modes_below)
-
-    kept = relevant
-    if keep_below_hz is not None:
-        freqs = sol.frequencies_hz
-        kept = np.array([k for k in relevant if freqs[k] <= keep_below_hz], dtype=int)
-
+    if modes_below > 0:
+        sol = modal.solve_smallest(Kr, Mr, modes_below, shift=0.0, system="restricted",
+                                   factor=factor)
+    else:
+        sol = modal.ModalSolution(np.empty(0), np.empty((Kr.shape[0], 0)), np.empty(0),
+                                  "restricted")
+    coupling = modal.momentum_coupling(sol, M, P, I_rigid, volume)
+    sol, coupling = _align_degenerate(sol, coupling)
+    try:
+        kept = modal.filter_relevant_restricted(sol, coupling,
+                                                math.sqrt(rho_bar / volume), delta_tol)
+    except NoRelevantModeError:
+        kept = np.empty(0, dtype=int)
     Q = coupling[:, kept] * math.sqrt(volume)
     omega2 = sol.eigenvalues[kept].copy()
     return CellModes(rho_bar=rho_bar, Q=Q, omega2=omega2, solution=sol, kept=kept,
-                     coupling=coupling, modes_below=modes_below)
+                     coupling=coupling)
 
 
-def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
-               delta_tol: float = 1e-3,
-               keep_below_hz: float | None = 6000.0) -> CellModes:
+def cell_modes(grid: StructuredGrid, fields: GaussPointFields, delta_tol: float = 1e-3,
+               keep_below_hz: float = 6000.0) -> CellModes:
     """Periodic quasi-static tensor and undamped modal basis of a cell, once
     per design; the viscosity in ``fields`` is ignored.
 
-    With ``keep_below_hz`` given, an inertia count of the pencil at that
-    frequency says how many modes the eigensolve needs, so it runs once at
-    the mode count the growth would stop at, not once per count on the way.
+    An inertia count of the pencil at ``keep_below_hz`` says how many modes
+    lie below it, and one eigensolve computes exactly those.
     """
     M, K = fem.assemble(grid, fields)
     ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC_PINNED)
@@ -192,18 +187,15 @@ def cell_modes(grid: StructuredGrid, fields: GaussPointFields, count: int = 24,
     Kr = fem.reduce(K, ops)
     Mr = fem.reduce(M, ops)
     # counted first: its factorization is freed before the zero-shift one exists
-    modes_below = None
-    if keep_below_hz is not None:
-        modes_below = modal.count_below(Kr, Mr, (2.0 * math.pi * keep_below_hz) ** 2)
-    # one factorization serves the quasi-static solve and the eigensolves
+    modes_below = modal.count_below(Kr, Mr, (2.0 * math.pi * keep_below_hz) ** 2)
+    # one factorization serves the quasi-static solve and the eigensolve
     try:
         factor = modal.shift_invert(Kr, Mr, shift=0.0)
     except SolverFailureError as err:
         raise ConstraintError(f"reduced stiffness singular: {err}") from err
     C_eff, Y_tilde = quasi_static(K, ops, volume, factor)
-    red = reduced_inertial_system(M, Kr, Mr, ops.P, ops.I_rigid, volume, count=count,
-                                  delta_tol=delta_tol, keep_below_hz=keep_below_hz,
-                                  factor=factor, modes_below=modes_below)
+    red = reduced_inertial_system(M, Kr, Mr, ops.P, ops.I_rigid, volume, modes_below,
+                                  delta_tol=delta_tol, factor=factor)
     return replace(red, C_eff=C_eff, Y_tilde=Y_tilde, ops=ops)
 
 
@@ -217,13 +209,14 @@ def effective_material(cell: CellModes, fields: GaussPointFields) -> EffectiveMa
     eta_eff = (cell.Y_tilde.T @ (C @ cell.Y_tilde)) / volume
     eta_eff = 0.5 * (eta_eff + eta_eff.T)
     Cr = fem.reduce(C, cell.ops)
-    phi_kept = sol.modes[:, kept]
-    omega_d = phi_kept.T @ (Cr @ phi_kept)
+    # one projection gives the kept block and its leakage into the dropped modes
+    proj = sol.modes.T @ (Cr @ sol.modes[:, kept])
+    omega_d = proj[kept]
     omega_d = 0.5 * (omega_d + omega_d.T)
     dropped = np.setdiff1d(np.arange(sol.count), kept)
     ratio = 0.0
     if kept.size and dropped.size:
-        cross = phi_kept.T @ (Cr @ sol.modes[:, dropped])
+        cross = proj[dropped]
         on = np.linalg.norm(omega_d)
         if on > 0.0:
             ratio = float(np.linalg.norm(cross) / on)

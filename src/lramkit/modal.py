@@ -6,10 +6,9 @@ one path: K - sigma M is factored once with a sparse LU and handed to
 ARPACK as the shift-invert operator, started from a fixed vector. The shift
 is zero unless the caller gives one; a zero shift whose factorization fails
 (singular K) falls back to a small negative one. ``solve_relevant`` grows
-the mode count on that one factorization, starting, when the caller knows
-how many eigenvalues lie below its frequency ceiling, at the first count
-that reaches past them. Only requests for (nearly) all eigenpairs, which
-ARPACK cannot serve, take a dense solve.
+the mode count on that one factorization until a mode is relevant. Only
+requests for (nearly) all eigenpairs, which ARPACK cannot serve, take a
+dense solve.
 
 Precondition: the shift lies below the pencil's spectrum, so K - sigma M is
 positive definite. The factorization relies on it: it uses a symmetric
@@ -22,7 +21,7 @@ searching. The optimizer shifts by 0 (restricted) and by a negative value
 factors K - sigma M the same way at a sigma inside the spectrum, not to
 solve with it but to count the eigenvalues below sigma (Sylvester inertia).
 Its count is trusted only when every pivot stayed on the diagonal; otherwise
-it gives None and the caller grows the count as before.
+it raises SolverFailureError.
 
 Relevance of a mode is judged by its momentum coupling <rho phi>
 (restricted systems) or its mean displacement <phi> (unrestricted systems),
@@ -42,9 +41,7 @@ from scipy.sparse import linalg as spla
 from .errors import NoRelevantModeError, SolverFailureError
 
 _V0_SEED = 7
-_COUNT_CAP = 96
-# eigenvalues closer than this fraction of the largest one form one cluster
-CLUSTER_RTOL = 1e-7
+_COUNT_CAP = 96   # where ``solve_relevant`` stops growing
 
 
 @dataclass(frozen=True)
@@ -114,24 +111,24 @@ def _splu(A):
                      options={"SymmetricMode": True})
 
 
-def count_below(K, M, sigma: float) -> int | None:
-    """Number of eigenvalues of the pencil (K, M) below ``sigma``, or None.
+def count_below(K, M, sigma: float) -> int:
+    """Number of eigenvalues of the pencil (K, M) below ``sigma``.
 
     K symmetric (Hermitian) and M positive definite, as for
-    ``solve_smallest``; K - sigma M is factored as in ``shift_invert``. While every pivot stays
-    on the diagonal (perm_r == perm_c) that factorization is a congruence
-    L D L^T with D = diag(U), and by Sylvester's law of inertia the negative
-    entries of D count the eigenvalues below sigma. A pivot off the diagonal
-    breaks the congruence, so the count is then not trusted; that case and
-    a failed (singular) factorization give None.
+    ``solve_smallest``; K - sigma M is factored as in ``shift_invert``. While
+    every pivot stays on the diagonal (perm_r == perm_c) that factorization
+    is a congruence L D L^T with D = diag(U), and by Sylvester's law of
+    inertia the negative entries of D count the eigenvalues below sigma. A
+    pivot off the diagonal breaks the congruence; that case and a failed
+    (singular) factorization raise SolverFailureError.
     """
     K, M = _as_csr(K), _as_csr(M)
     try:
         lu = _splu(K - float(sigma) * M)
-    except RuntimeError:
-        return None
+    except RuntimeError as err:
+        raise SolverFailureError(f"inertia factorization failed: {err}") from err
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
+        raise SolverFailureError("inertia count untrusted: a pivot left the diagonal")
     return int(np.count_nonzero(np.real(lu.U.diagonal()) < 0.0))
 
 
@@ -211,56 +208,26 @@ def solve_smallest(K, M, count: int, shift: float | None = None,
     return ModalSolution(vals, vecs, _residuals(K, M, vals, vecs), system)
 
 
-def _without_top_cluster(sol: ModalSolution) -> ModalSolution:
-    """``sol`` minus the modes of its highest eigenvalue cluster."""
-    vals = sol.eigenvalues
-    tol = CLUSTER_RTOL * max(float(np.abs(vals).max()), 1e-300)
-    start = len(vals) - 1
-    while start > 0 and vals[start] - vals[start - 1] <= tol:
-        start -= 1
-    return ModalSolution(vals[:start], sol.modes[:, :start], sol.residuals[:start],
-                         sol.system)
-
-
 def solve_relevant(K, M, count: int, relevant, shift: float | None = None,
-                   system: str = "", cover_hz: float | None = None,
-                   factor: ShiftInvert | None = None, below: int | None = None):
+                   system: str = ""):
     """(sol, relevant(sol)), doubling ``count`` up to min(_COUNT_CAP, n) while
-    ``relevant`` raises NoRelevantModeError (re-raised at the cap) or, with
-    ``cover_hz`` given, while the highest computed mode lies below it.
+    ``relevant`` raises NoRelevantModeError (re-raised at the cap).
 
-    The pencil is factored once for all counts (``factor``, when given, is
-    that factorization and ``shift`` is ignored). ``below``, when given, is
-    the number of eigenvalues below ``cover_hz`` (``count_below``): every
-    count of the doubling ladder up to it would end short of ``cover_hz``,
-    so the first solve is at the first ladder count above it, with the same
-    result as growing there. When the cap stops the growth short of
-    ``cover_hz``, the top eigenvalue cluster is dropped before ``relevant``
-    sees it: the rest of a degenerate cluster may lie above the cap, and a
-    partial cluster has no well-defined basis.
+    The pencil is factored once for all counts.
     """
     K, M = _as_csr(K), _as_csr(M)
     n = K.shape[0]
     cap = min(_COUNT_CAP, n)
-    if below is not None:
-        while count <= below and count < cap:
-            count = min(2 * count, cap)
+    factor = None
     while True:
         if factor is None and count < n - 1:
             factor = shift_invert(K, M, shift)
         sol = solve_smallest(K, M, count, system=system, factor=factor)
-        at_cap = count >= cap
-        short = cover_hz is not None and sol.frequencies_hz[-1] < cover_hz
-        if at_cap and short and count < n:
-            sol = _without_top_cluster(sol)
         try:
-            picked = relevant(sol)
+            return sol, relevant(sol)
         except NoRelevantModeError:
-            if at_cap:
+            if count >= cap:
                 raise
-        else:
-            if at_cap or not short:
-                return sol, picked
         count = min(2 * count, cap)
 
 
@@ -268,10 +235,10 @@ def momentum_coupling(sol: ModalSolution, M, P, I_rigid, volume: float) -> np.nd
     """Volume-averaged momentum <rho phi> per mode, shape (d, k).
 
     P expands reduced modes to the full space; I_rigid columns are the unit
-    translations, so I_rigid^T M (P phi) integrates rho * phi exactly.
+    translations, so (P^T M I_rigid)^T phi integrates rho * (P phi) exactly
+    without expanding the modes.
     """
-    full = P @ sol.modes
-    return np.asarray(I_rigid.T @ (M @ full)) / volume
+    return np.asarray((P.T @ (M @ I_rigid)).T @ sol.modes) / volume
 
 
 def mean_displacement(sol: ModalSolution, N_mu, P) -> np.ndarray:

@@ -146,17 +146,8 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                                        exponent=cfg.interpolation_exponent)
             fields = rve.material_fields(layout, chi, phases_true,
                                          include_viscosity=False)
-            cell = homogenize.cell_modes(grid, fields, count=cfg.modes,
-                                         delta_tol=cfg.delta_tol,
+            cell = homogenize.cell_modes(grid, fields, delta_tol=cfg.delta_tol,
                                          keep_below_hz=cfg.mode_ceiling_hz)
-            top_hz = cell.solution.frequencies_hz[-1]
-            if top_hz < cfg.mode_ceiling_hz and cell.solution.count < cell.ops.nfree:
-                covered = ("" if cell.modes_below is None else
-                           f" ({cell.solution.count} of the {cell.modes_below} modes "
-                           f"below {cfg.mode_ceiling_hz:g} Hz)")
-                log(f"warning: the cell modes stop at {top_hz:.2f} Hz{covered}, short "
-                    f"of the {cfg.mode_ceiling_hz:g} Hz mode ceiling; resonances above "
-                    "it are left out of the effective material")
             for mu in cfg.viscosities:
                 phases_mu = replace(phases_true, soft=soft.with_viscosity(mu))
                 em = homogenize.effective_material(

@@ -50,8 +50,7 @@ _VALUES = {
         "f_min_hz": (["5", "100"], ["0", "-5", "4000"]),
         "f_max_hz": (["3000", "200"], ["5", "0"]),
         "samples": (["1", "2", "3"], ["0"]),
-        "modes": (["1", "2", "4"], ["0"]),
-        "band_top_hz": (["6000", "100", "0", "-1"], ["nan"]),
+        "band_top_hz": (["6000", "100"], ["nan", "0", "-1"]),
         "panel_cells": (["1", "2"], ["0"]),
         "macro_nx": (["2", "3"], ["1"]),
         "macro_ny": (["2", "4"], ["0"]),
@@ -67,8 +66,8 @@ _VALUES = {
 _KEYS = [key for keys in _VALUES.values() for key in keys]
 # stand-ins for keys the draw leaves out whose defaults are slow (60x60 grid,
 # 1000 iterations, 600 samples, 9 wavenumbers)
-_SMALL = {"nx": "6", "ny": "6", "max_iters": "2", "samples": "3", "modes": "4",
-          "kappa_samples": "2", "bloch_branches": "3"}
+_SMALL = {"nx": "6", "ny": "6", "max_iters": "2", "samples": "3", "kappa_samples": "2",
+          "bloch_branches": "3"}
 _VERBS = ["validate", "optimize", "homogenize", "dispersion", "transmission", "pipeline"]
 # (name, K, G) of the built-in phases, for drawn material cards
 _PHASES = (("epoxy", 5.49e9, 1.59e9), ("steel", 1.72e11, 7.96e10),

@@ -182,6 +182,12 @@ class TestValidate:
         warns = [d for d in validate(cfg) if d.severity == "warning"]
         assert any("149" in d.message for d in warns)
 
+    @pytest.mark.parametrize("value", ["0", "-7000"])
+    def test_nonpositive_mode_ceiling_rejected(self, value):
+        # the inertia shift (2 pi f)^2 would count the modes below |f|
+        cfg = parse_config(f"[analysis]\nband_top_hz = {value}\n")
+        assert any("band_top_hz" in d.message for d in self._errors(cfg))
+
     def test_empty_frequency_sweep_rejected(self):
         cfg = parse_config("[analysis]\nsamples = 0\n")
         assert self._errors(cfg)
@@ -209,7 +215,6 @@ class TestValidate:
 
     @pytest.mark.parametrize("text", [
         "[analysis]\nkappa_samples = 0\n",
-        "[analysis]\nmodes = 0\n",
         "[analysis]\nbloch_branches = 0\n",
         "[analysis]\nmacro_nx = 1\n",
         "[analysis]\npanel_cells = 0\n",
@@ -240,7 +245,8 @@ class TestValidate:
     @pytest.mark.parametrize("section, key, value", [
         ("output", "deterministic", "yes"),
         ("optimize", "stagnation_window", "80"),
-    ], ids=["deterministic", "stagnation_window"])
+        ("analysis", "modes", "24"),
+    ], ids=["deterministic", "stagnation_window", "modes"])
     def test_retired_deterministic_key_still_parses(self, tmp_path, section, key, value):
         cfg_file = tmp_path / "old.cfg"
         cfg_file.write_text(f"[{section}]\n{key} = {value}\n")
@@ -359,27 +365,25 @@ class TestPipelineRun:
         assert "Traceback" not in captured.out + captured.err
         assert "stage failed: LinAlgError" in captured.out
 
-    def test_uncovered_mode_ceiling_is_logged(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(modal, "_COUNT_CAP", 4)
+    def test_ceiling_below_first_resonance_keeps_no_mode(self, tmp_path, monkeypatch):
         cfg = load_config(_gated_config(tmp_path))
-        cfg.modes = 2
-        cfg.band_top_hz = 1e6    # far above the 4 modes the cap allows
+        cfg.band_top_hz = 1.0    # below every resonance of the cell
         cfg.stages = ("homogenize",)
-        counts = []
-        count_below = modal.count_below
+        solves = []
+        solve_smallest = modal.solve_smallest
 
-        def recording(*args):
-            counts.append(count_below(*args))
-            return counts[-1]
+        def recording(*args, **kwargs):
+            solves.append(args[2])
+            return solve_smallest(*args, **kwargs)
 
-        monkeypatch.setattr(modal, "count_below", recording)
-        lines = []
-        result = pipeline.run(cfg, log=lines.append)
+        monkeypatch.setattr(modal, "solve_smallest", recording)
+        result = pipeline.run(cfg, log=lambda *_: None)
         assert result.exit_code == 0
-        assert len(counts) == 1 and counts[0] > 4
-        warnings = [line for line in lines if "mode ceiling" in line]
-        assert len(warnings) == 1
-        assert f"of the {counts[0]} modes below 1e+06 Hz" in warnings[0]
+        assert solves == []
+        for mu in ("0", "10"):
+            report = (result.out_dir / f"effective_material_mu{mu}.txt").read_text()
+            assert "n_modes_kept = 0\n" in report
+            assert "mode_0 = " not in report
 
     def test_read_phi_shape_check(self, tmp_path):
         p = tmp_path / "phi.txt"

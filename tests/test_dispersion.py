@@ -13,7 +13,7 @@ from lramkit.materials import uniform_fields
 def epoxy_em(epoxy):
     g = build_grid(10, 10, 0.01)
     fields = uniform_fields(g, epoxy)
-    return homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
+    return homogenize.effective_material(homogenize.cell_modes(g, fields), fields)
 
 
 def _toy_em(rho_bar=1.0, q=math.sqrt(0.5), om2=1.0, od=0.0, c11=1.0, eta11=0.0,
@@ -157,7 +157,7 @@ class TestBlochOracle:
         chi = rve.chi_at_gauss(layout, phi)
         fields = rve.material_fields(
             layout, chi, rve.PhaseSet(frame=epoxy, dense=steel, soft=epoxy))
-        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=8), fields)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields), fields)
         c_eff = math.sqrt(em.C_eff[0, 0] / em.rho_bar)
         k = 0.04 * math.pi / 0.01
         res = dispersion.bloch_oracle(g, fields, np.array([k]), n_branches=4)

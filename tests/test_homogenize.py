@@ -40,7 +40,7 @@ class TestQuasiStatic:
     def test_homogeneous_epoxy_exact(self, epoxy):
         g = build_grid(10, 10, 0.01)
         fields = uniform_fields(g, epoxy)
-        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields), fields)
         exact = _plane_strain_tensor(epoxy.K, epoxy.G)
         assert np.abs(em.C_eff - exact).max() <= 1e-8 * exact[0, 0]
         assert em.C_eff[0, 0] == pytest.approx(7.61e9)
@@ -49,14 +49,14 @@ class TestQuasiStatic:
     def test_homogeneous_viscous_exact(self, epoxy):
         g = build_grid(8, 8, 0.01)
         fields = uniform_fields(g, epoxy.with_viscosity(10.0))
-        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields), fields)
         _, eta_exact = isotropic_tensors(epoxy.with_viscosity(10.0))
         assert np.abs(em.eta_eff - eta_exact).max() <= 1e-10 * eta_exact[0, 0]
 
     def test_layered_cell_matches_laminate(self, epoxy, rubber):
         g = build_grid(12, 12, 0.01)
         fields = _striped_fields(g, epoxy, rubber)
-        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields), fields)
         c11a = _plane_strain_tensor(epoxy.K, epoxy.G)[0, 0]
         c11b = _plane_strain_tensor(rubber.K, rubber.G)[0, 0]
         exact = laminate_c11([c11a, c11b], [0.5, 0.5])
@@ -70,7 +70,7 @@ class TestQuasiStatic:
         chi = rve.chi_at_gauss(layout, phi)
         phases = rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber.with_viscosity(5.0))
         fields = rve.material_fields(layout, chi, phases)
-        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=6), fields)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields), fields)
         assert np.abs(em.C_eff - em.C_eff.T).max() <= 1e-10 * np.abs(em.C_eff).max()
         assert np.abs(em.eta_eff - em.eta_eff.T).max() <= 1e-10 * np.abs(em.eta_eff).max()
 
@@ -85,7 +85,7 @@ class TestInertialReduction:
         M, K = sparse.csr_matrix(M), sparse.csr_matrix(K)
         red = homogenize.reduced_inertial_system(
             M, K, M, sparse.identity(3, format="csr"),
-            np.ones((3, 1)), volume, count=3, delta_tol=1e-6)
+            np.ones((3, 1)), volume, 3, delta_tol=1e-6)
         np.testing.assert_allclose(np.sort(red.omega2),
                                    np.sort(vals[red.kept]), rtol=1e-10)
         hand_Q = (np.array(masses) @ vecs) / math.sqrt(volume)
@@ -99,7 +99,7 @@ class TestInertialReduction:
         chi = rve.chi_at_gauss(layout, phi)
         phases = rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber)
         fields = rve.material_fields(layout, chi, phases)
-        em = homogenize.effective_material(homogenize.cell_modes(g, fields, count=8), fields)
+        em = homogenize.effective_material(homogenize.cell_modes(g, fields), fields)
         assert np.all(em.omega_d == 0.0)
 
     def test_viscosity_enters_only_the_damping(self, epoxy, steel, rubber):
@@ -111,8 +111,8 @@ class TestInertialReduction:
         for mu in (0.0, 1.0, 10.0):
             phases = rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber.with_viscosity(mu))
             fields = rve.material_fields(layout, chi, phases)
-            if cell is None:
-                cell = homogenize.cell_modes(g, fields, count=8, keep_below_hz=None)
+            if cell is None:   # the first resonances of this cell lie near 20 and 83 kHz
+                cell = homogenize.cell_modes(g, fields, keep_below_hz=1e5)
             ems[mu] = homogenize.effective_material(cell, fields)
         for em in ems.values():
             assert np.array_equal(em.omega2, ems[0.0].omega2)
@@ -134,7 +134,7 @@ class TestInertialReduction:
         chi = rve.chi_at_gauss(layout, phi)
         phases = rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber)
         fields = rve.material_fields(layout, chi, phases)
-        cell = homogenize.cell_modes(g, fields, count=8, keep_below_hz=None)
+        cell = homogenize.cell_modes(g, fields)
         em = homogenize.effective_material(cell, fields)
         qx = np.abs(em.Q[0])
         qy = np.abs(em.Q[1])
@@ -142,7 +142,8 @@ class TestInertialReduction:
         assert np.any(y_modes)
         assert np.all(qx[y_modes] <= 1e-6 * math.sqrt(em.rho_bar))
 
-    def test_ceiling_count_makes_one_eigensolve(self, epoxy, steel, rubber, monkeypatch):
+    def test_one_solve_for_the_modes_below_the_ceiling(self, epoxy, steel, rubber,
+                                                        monkeypatch):
         g = build_grid(12, 12, 0.01)
         layout = rve.build_layout(g, frame_fraction=1.0 / 12.0)
         chi = rve.chi_at_gauss(layout, _centered_square_phi(layout))
@@ -151,34 +152,33 @@ class TestInertialReduction:
         M, K = fem.assemble(g, fields)
         ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC_PINNED)
         Kr, Mr = fem.reduce(K, ops), fem.reduce(M, ops)
-        vals = linalg.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True)
-        # 9 modes below the ceiling: the ladder 2, 4, 8 would end short of it
+        vals, vecs = linalg.eigh(Kr.toarray(), Mr.toarray())
+        # a ceiling halfway between two modes: 9 below it
         ceiling_hz = math.sqrt(0.5 * (vals[8] + vals[9])) / (2.0 * math.pi)
 
         solves = []
         solve_smallest = modal.solve_smallest
 
         def recording(K, M, count, *args, **kwargs):
-            solves.append((count, solve_smallest(K, M, count, *args, **kwargs)))
-            return solves[-1][1]
+            solves.append(count)
+            return solve_smallest(K, M, count, *args, **kwargs)
 
         monkeypatch.setattr(modal, "solve_smallest", recording)
-        cell = homogenize.cell_modes(g, fields, count=2, keep_below_hz=ceiling_hz)
-        assert cell.modes_below == 9
-        assert [count for count, _ in solves] == [16]
+        cell = homogenize.cell_modes(g, fields, keep_below_hz=ceiling_hz)
+        assert solves == [9]
+        np.testing.assert_allclose(cell.solution.eigenvalues, vals[:9], rtol=1e-9)
 
-        # the doubling ladder on the same factorization ends in the same bits
-        factor = modal.shift_invert(Kr, Mr, shift=0.0)
-        homogenize.reduced_inertial_system(M, Kr, Mr, ops.P, ops.I_rigid, g.area,
-                                           count=2, keep_below_hz=ceiling_hz,
-                                           factor=factor)
-        assert [count for count, _ in solves[1:]] == [2, 4, 8, 16]
-        monkeypatch.undo()
-        direct = modal.solve_smallest(Kr, Mr, 16, factor=factor)
-        for _, sol in (solves[0], solves[-1]):
-            np.testing.assert_array_equal(sol.eigenvalues, direct.eigenvalues)
-            np.testing.assert_array_equal(sol.modes, direct.modes)
-
+        # kept: exactly the modes below the ceiling that couple, judged on the
+        # dense modes (eigh returns them mass-normalized)
+        rho_bar = modal.average_density(M, ops.I_rigid, g.area)
+        coupling = np.asarray(ops.I_rigid.T @ (M @ (ops.P @ vecs[:, :9]))) / g.area
+        strength = np.linalg.norm(coupling, axis=0) / math.sqrt(rho_bar / g.area)
+        # no dense mode sits near the threshold, so the split is unambiguous
+        assert np.all(np.abs(np.log10(strength / 1e-3)) > 1.0)
+        expected = np.flatnonzero(strength > 1e-3)
+        assert expected.size and expected.size < 9
+        assert cell.kept.tolist() == expected.tolist()
+        np.testing.assert_allclose(cell.omega2, vals[expected], rtol=1e-9)
 
 def _centered_square_phi(layout):
     """Level set of a centered square inclusion covering ~40% of the cell."""
@@ -237,7 +237,7 @@ class TestReport:
     def test_report_contents(self, epoxy, tmp_path):
         g = build_grid(8, 8, 0.01)
         fields = uniform_fields(g, epoxy)
-        cell = homogenize.cell_modes(g, fields, count=4, keep_below_hz=None)
+        cell = homogenize.cell_modes(g, fields, keep_below_hz=1e5)   # above 37 kHz
         em = homogenize.effective_material(cell, fields)
         path = tmp_path / "report.txt"
         homogenize.write_report(em, path)
