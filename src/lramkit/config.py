@@ -90,7 +90,6 @@ class PipelineConfig:
     band_top_hz: float | None = None   # mode-keeping ceiling; default 2 * f_max
     panel_cells: int = 1
     macro_nx: int = 4
-    macro_ny: int = 4
     kappa_samples: int = 9
     bloch_branches: int = 8
     # output
@@ -130,14 +129,14 @@ _SCHEMA = {
                  "frame_fraction": _finite, "snapshot_every": int},
     "analysis": {"viscosities": str, "f_min_hz": _finite, "f_max_hz": _finite,
                  "samples": int, "band_top_hz": _finite,
-                 "panel_cells": int, "macro_nx": int, "macro_ny": int,
+                 "panel_cells": int, "macro_nx": int,
                  "kappa_samples": int, "bloch_branches": int},
     "output": {"dir": str, "stages": str, "level_set_file": str},
 }
 
 # keys of earlier versions that still parse and are ignored
 _RETIRED = {("optimize", "stagnation_window"), ("output", "deterministic"),
-            ("analysis", "modes")}
+            ("analysis", "modes"), ("analysis", "macro_ny")}
 
 _FIELD_OF = {
     ("materials", "card"): "material_card",
@@ -270,8 +269,8 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
     for name in ("bloch_branches", "kappa_samples", "panel_cells", "snapshot_every"):
         if getattr(cfg, name) < 1:
             err(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    if cfg.macro_nx < 2 or cfg.macro_ny < 2:
-        err(f"panel grid must be at least 2x2, got {cfg.macro_nx}x{cfg.macro_ny}")
+    if cfg.macro_nx < 2:
+        err(f"macro_nx must be at least 2, got {cfg.macro_nx}")
 
     unknown = [s for s in cfg.stages if s not in STAGES]
     if not cfg.stages:

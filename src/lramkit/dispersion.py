@@ -22,6 +22,10 @@ from .homogenize import EffectiveMaterial, effective_density
 from .materials import GaussPointFields
 
 POLE_NUDGE_HZ = 0.1
+# Bloch shift-invert point, well below the spectrum: a shift next to the two
+# rigid branches at kappa = 0 leaves the first elastic branch there with a
+# relative residual of about 1e-5 instead of 1e-8
+_BLOCH_SHIFT = -(2.0 * math.pi * 300.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ def bloch_transform(ops: fem.ConstraintOperators, kappa: float) -> sparse.csr_ma
     return sparse.csr_matrix((data, ops.P.indices, ops.P.indptr), shape=ops.P.shape)
 
 
-def _bloch_branches(K, M, ops, kappa: float, n_branches: int, shift: float):
+def _bloch_branches(K, M, ops, kappa: float, n_branches: int):
     """Frequencies (Hz) and x-polarization of the lowest branches at one
     wavenumber. A function of its own so that the pencil, its factorization
     and the modes are freed before the next wavenumber's."""
@@ -112,7 +116,7 @@ def _bloch_branches(K, M, ops, kappa: float, n_branches: int, shift: float):
     Mb = fem.reduce(M, ops, phase)
     Kb = 0.5 * (Kb + Kb.conj().T)
     Mb = 0.5 * (Mb + Mb.conj().T)
-    sol = modal.solve_smallest(Kb, Mb, n_branches, shift=shift, system="bloch")
+    sol = modal.solve_smallest(Kb, Mb, n_branches, shift=_BLOCH_SHIFT, system="bloch")
     lam = np.clip(sol.eigenvalues, 0.0, None)
     full = bloch_transform(ops, kappa) @ sol.modes
     ux2 = np.abs(full[0::2, :]) ** 2
@@ -122,7 +126,7 @@ def _bloch_branches(K, M, ops, kappa: float, n_branches: int, shift: float):
 
 
 def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
-                 n_branches: int = 6, shift: float = -(2.0 * math.pi * 5.0) ** 2) -> BlochResult:
+                 n_branches: int = 6) -> BlochResult:
     """Lowest real branches w(kappa) of the undamped heterogeneous cell.
 
     Viscosity in ``fields`` is ignored: the pencil is Hermitian and the
@@ -135,7 +139,7 @@ def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
     freqs = np.zeros((len(kappas), n_branches))
     pol = np.zeros((len(kappas), n_branches))
     for idx, kap in enumerate(kappas):
-        freqs[idx], pol[idx] = _bloch_branches(K, M, ops, kap, n_branches, shift)
+        freqs[idx], pol[idx] = _bloch_branches(K, M, ops, kap, n_branches)
     return BlochResult(kappas=kappas, frequencies_hz=freqs, x_fraction=pol)
 
 

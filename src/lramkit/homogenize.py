@@ -282,12 +282,10 @@ def bandgap_edges(em: EffectiveMaterial, axis: int = 0,
     above = above[above > f_lo * (1.0 + 1e-9)]
     f_stop = float(above[0]) * (1.0 - 1e-6) if above.size else f_max_hz
 
+    undamped = replace(em, omega_d=np.zeros_like(em.omega_d))
+
     def re_rho(f_hz: float) -> float:
-        w = 2.0 * math.pi * f_hz
-        A = np.diag(em.omega2.astype(complex) - w ** 2)  # undamped picture
-        X = np.linalg.solve(A, em.Q.T.astype(complex))
-        val = em.rho_bar + w ** 2 * (em.Q @ X)[axis, axis]
-        return float(np.real(val))
+        return float(effective_density(undamped, 2.0 * math.pi * f_hz)[axis, axis].real)
 
     fs = np.linspace(f_lo * (1.0 + 1e-4), f_stop, 400)
     vals = np.array([re_rho(f) for f in fs])

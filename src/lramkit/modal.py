@@ -4,8 +4,8 @@ Solves (K - lambda M) phi = 0, real symmetric or complex Hermitian, for the
 smallest eigenpairs with mass-normalized modes. Every pencil goes through
 one path: K - sigma M is factored once with a sparse LU and handed to
 ARPACK as the shift-invert operator, started from a fixed vector. The shift
-is zero unless the caller gives one; a zero shift whose factorization fails
-(singular K) falls back to a small negative one. ``solve_relevant`` grows
+is zero unless the caller gives one; a failed factorization is a solver
+failure. ``solve_relevant`` grows
 the mode count on that one factorization until a mode is relevant. Only
 requests for (nearly) all eigenpairs, which ARPACK cannot serve, take a
 dense solve.
@@ -15,7 +15,7 @@ positive definite. The factorization relies on it: it uses a symmetric
 minimum-degree ordering and takes its pivots from the diagonal without
 searching. The optimizer shifts by 0 (restricted) and by a negative value
 (free), homogenization by 0 with the corners pinned, the Bloch solves by
--(2 pi 5 Hz)^2.
+-(2 pi 300 Hz)^2.
 
 ``count_below`` is the only factorization of an indefinite pencil: it
 factors K - sigma M the same way at a sigma inside the spectrum, not to
@@ -132,33 +132,22 @@ def count_below(K, M, sigma: float) -> int:
     return int(np.count_nonzero(np.real(lu.U.diagonal()) < 0.0))
 
 
-def shift_invert(K, M, shift: float | None = None) -> ShiftInvert:
-    """Factor K - sigma M once for any number of solves of the pencil.
-
-    ``sigma`` is ``shift`` when given; with ``None`` a zero shift is tried
-    first and a small negative one if that factorization fails, so singular
-    K never kills the solve.
+def shift_invert(K, M, shift: float = 0.0) -> ShiftInvert:
+    """Factor K - sigma M, sigma = ``shift``, once for any number of solves
+    of the pencil. A failed (singular) factorization raises
+    SolverFailureError.
     """
     K, M = _as_csr(K), _as_csr(M)
-    if shift is not None:
-        sigmas = [float(shift)]
-    else:
-        fallback = -1e-8 * abs(K.diagonal().sum()) / max(abs(M.diagonal().sum()), 1e-300)
-        sigmas = [0.0, min(fallback, -1e-12)]
-    last_err: Exception | None = None
-    for sigma in sigmas:
-        A = K if sigma == 0.0 else K - sigma * M
-        try:
-            lu = _splu(A)
-        except RuntimeError as err:
-            last_err = err
-            continue
-        return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=lu.solve,
-                                                      dtype=A.dtype))
-    raise SolverFailureError(f"shift-invert factorization failed: {last_err}")
+    sigma = float(shift)
+    A = K if sigma == 0.0 else K - sigma * M
+    try:
+        lu = _splu(A)
+    except RuntimeError as err:
+        raise SolverFailureError(f"shift-invert factorization failed: {err}") from err
+    return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype))
 
 
-def solve_smallest(K, M, count: int, shift: float | None = None,
+def solve_smallest(K, M, count: int, shift: float = 0.0,
                    system: str = "", factor: ShiftInvert | None = None) -> ModalSolution:
     """The ``count`` algebraically smallest eigenpairs of the pencil (K, M).
 
@@ -208,7 +197,7 @@ def solve_smallest(K, M, count: int, shift: float | None = None,
     return ModalSolution(vals, vecs, _residuals(K, M, vals, vecs), system)
 
 
-def solve_relevant(K, M, count: int, relevant, shift: float | None = None,
+def solve_relevant(K, M, count: int, relevant, shift: float = 0.0,
                    system: str = ""):
     """(sol, relevant(sol)), doubling ``count`` up to min(_COUNT_CAP, n) while
     ``relevant`` raises NoRelevantModeError (re-raised at the cap).

@@ -1,11 +1,18 @@
 """Normal-incidence transmission loss of an air-backed homogenized panel.
 
-A slice of the panel is meshed with a small quadrilateral grid, periodic
-top/bottom (infinite panel), loaded on its left face by an incident plus
-reflected plane air wave of unit incident amplitude and radiating a
-transmitted wave on the right. The unknowns are the interior and boundary
-displacements plus the reflection and transmission coefficients, solved
-together as one dense complex system.
+The panel is homogeneous, infinite in y and loaded uniformly, so its
+discrete response cannot vary in y: the slice is a strip whose every node
+follows the node of its column on y = 0. The strip is meshed with a small
+quadrilateral grid, loaded on its left face by an incident plus reflected
+plane air wave of unit incident amplitude and radiates a transmitted wave
+on the right. The unknowns are the reflection coefficient R, u_y of the
+left face and the column-to-column displacement steps, so
+u_x = 1 - R + (x-steps up to the column) and T = 1 - R + (all x-steps).
+Rigid translations do no elastic or viscous work, so the translation rows
+and columns of the projected stiffness and damping are zero by
+construction; no stiffness entry has to cancel against a unit
+displacement, and one dense complex solve meets the lossless identity
+|R|^2 + |T|^2 = 1 at double-precision roundoff.
 
 Convention exp(-i w t): the dynamic matrix is D(w) = K - i w C - w^2 M(w),
 with M built from the complex frequency-dependent effective density so the
@@ -16,11 +23,9 @@ air pressure fields: total left force -i K_a (1 + R), total right force
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from . import fem
 from .errors import PoleError, ResonanceSingularityError
@@ -29,12 +34,13 @@ from .homogenize import EffectiveMaterial, effective_density
 from .materials import AIR_DENSITY, AIR_SOUND_SPEED, GaussPointFields
 from .dispersion import nudge_frequencies
 
+_STRIP_NY = 2   # elements across the strip height; any count gives the same answer
+
 
 class PanelModel:
     """Macro model of a panel slice built from one EffectiveMaterial."""
 
-    def __init__(self, em: EffectiveMaterial, n_cells: int = 1,
-                 nx: int = 4, ny: int = 4,
+    def __init__(self, em: EffectiveMaterial, n_cells: int = 1, nx: int = 4,
                  rho_air: float = AIR_DENSITY, v_air: float = AIR_SOUND_SPEED):
         if n_cells < 1:
             raise ValueError("panel thickness must be at least one cell")
@@ -44,77 +50,39 @@ class PanelModel:
         self.v_air = v_air
         self.thickness = n_cells * em.cell_size
         self.height = em.cell_size
-        self.grid = build_rect_grid(nx, ny, self.thickness, self.height)
+        self.grid = build_rect_grid(nx, _STRIP_NY, self.thickness, self.height)
         self.surface = self.height * 1.0    # unit out-of-plane depth
 
-        ne = self.grid.nelem
-        fields = GaussPointFields(
-            rho=np.full((ne, 4), em.rho_bar),
-            C=np.broadcast_to(em.C_eff, (ne, 4, 3, 3)).copy(),
-            eta=np.broadcast_to(em.eta_eff, (ne, 4, 3, 3)).copy(),
-        )
-        _, self._K = fem.assemble(self.grid, fields)
-        C = fem.damping_matrix(self.grid, fields)
-        # dense copies: the macro matrix is rebuilt densely at every frequency
-        self._dense = tuple(A.toarray() for A in
-                            (self._K, C) + fem.mass_templates(self.grid))
-        self._build_partitions()
-
-    def _build_partitions(self):
         g = self.grid
-        ndof = g.ndof
-        left = set(int(n) for n in g.left)
-        right = set(int(n) for n in g.right)
-        bottom = list(int(n) for n in g.bottom)
-        top = list(int(n) for n in g.top)
-
-        self._ldofs = np.array([2 * n for n in sorted(left)], dtype=int)
-        self._rdofs = np.array([2 * n for n in sorted(right)], dtype=int)
-        horizontal_faces = set(self._ldofs) | set(self._rdofs)
-
-        bdofs, tdofs = [], []
-        for nb, nt in zip(bottom, top):
-            for d in range(2):
-                db, dt = 2 * nb + d, 2 * nt + d
-                if db in horizontal_faces or dt in horizontal_faces:
-                    continue  # corner x-dofs already belong to the faces
-                bdofs.append(db)
-                tdofs.append(dt)
-        self._bdofs = np.array(bdofs, dtype=int)
-        self._tdofs = np.array(tdofs, dtype=int)
-
-        claimed = horizontal_faces | set(bdofs) | set(tdofs)
-        self._idofs = np.array([d for d in range(ndof) if d not in claimed], dtype=int)
-
-        nf = len(self._idofs) + len(self._bdofs)
-        ncols = nf + 2
-        Pu = np.zeros((ndof, ncols))
-        for col, d in enumerate(self._idofs):
-            Pu[d, col] = 1.0
-        off = len(self._idofs)
-        for k, (db, dt) in enumerate(zip(self._bdofs, self._tdofs)):
-            Pu[db, off + k] = 1.0
-            Pu[dt, off + k] = 1.0   # periodic: top follows bottom
-        Pu[self._ldofs, nf] = -1.0  # u_left = 1 - R
-        Pu[self._rdofs, nf + 1] = 1.0  # u_right = T
-        self._Pu = Pu
-
-        wl = 1.0 / len(self._ldofs)
-        wr = 1.0 / len(self._rdofs)
-        Pf = np.zeros((ndof, ncols))
-        Pf[self._ldofs, nf] = wl          # reflected-wave pressure on the left
-        Pf[self._rdofs, nf + 1] = -wr     # transmitted wave pushes back (-x)
-        self._Pf = Pf
-        U0d = np.zeros(ndof)
-        U0d[self._ldofs] = 1.0
-        self._U0_disp = U0d
-        U0f = np.zeros(ndof)
-        U0f[self._ldofs] = wl
-        self._U0_force = U0f
+        fields = GaussPointFields(
+            rho=np.full((g.nelem, 4), em.rho_bar),
+            C=np.broadcast_to(em.C_eff, (g.nelem, 4, 3, 3)).copy(),
+            eta=np.broadcast_to(em.eta_eff, (g.nelem, 4, 3, 3)).copy(),
+        )
+        # step map from the unknowns (R, u_y of the left face, nx x-steps,
+        # nx y-steps) to the displacement less u_x = 1: each node takes the
+        # translations and the steps up to its column
+        steps = (np.arange(g.nnode)[:, None] % (nx + 1)
+                 >= np.arange(1, nx + 1)).astype(float)
+        S = np.zeros((g.ndof, 2 * nx + 2))
+        S[0::2, 0] = -1.0
+        S[1::2, 1] = 1.0
+        S[0::2, 2:nx + 2] = steps
+        S[1::2, nx + 2:] = steps
+        _, K = fem.assemble(g, fields)
+        mats = [S.T @ (A @ S) for A in
+                (K, fem.damping_matrix(g, fields)) + fem.mass_templates(g)]
+        for A in mats[:2]:
+            A[:2, :] = A[:, :2] = 0.0   # translations do no elastic or viscous work
+        self._dense = tuple(mats)
+        self._t = np.zeros(2 * nx + 2)  # T = 1 + t . z
+        self._t[0] = -1.0
+        self._t[2:nx + 2] = 1.0
 
 
 def assemble_macro(panel: PanelModel, omega: float) -> np.ndarray:
-    """Dense complex dynamic matrix D(w) = K - i w C - w^2 M(w)."""
+    """Dense complex dynamic matrix D(w) = K - i w C - w^2 M(w) on the
+    strip's step unknowns."""
     rho = effective_density(panel.em, omega)
     K, C, Gxx, Gyy, Gxy = panel._dense
     M = rho[0, 0] * Gxx + rho[1, 1] * Gyy + rho[0, 1] * Gxy
@@ -124,32 +92,26 @@ def assemble_macro(panel: PanelModel, omega: float) -> np.ndarray:
 def solve_RT(panel: PanelModel, omega: float) -> tuple[complex, complex]:
     """Reflection and transmission coefficients at angular frequency omega.
 
-    One LU factorization solves for the interior/boundary unknowns and
-    (R, T) together; mixed-precision iterative refinement on it then polishes
-    the solution. Stiff panels put the elastic energy many decades
-    above the radiated acoustic power, and without the extended-precision
-    residual that cancellation costs the lossless identity |R|^2 + |T|^2 = 1
-    a couple of orders beyond double-precision roundoff.
+    The step unknowns z measure the displacement from u_x = 1 everywhere.
+    That offset is the rigid translation -e_0 of the step map, so it loads
+    the system with D[:, 0], inertia only. With R = z_0 and T = 1 + t . z
+    the face forces -i K_a (1 + R) and +i K_a T add
+    -i K_a (e_0 e_0^T + t t^T) to D and i K_a (e_0 + t) to the load.
     """
     D = assemble_macro(panel, omega)
-    D = 0.5 * (D + D.T)   # losslessness rides on exact symmetry
     Ka = panel.rho_air * panel.v_air * omega * panel.surface
-    A = panel._Pu.T @ D @ panel._Pu + 1j * Ka * (panel._Pu.T @ panel._Pf)
-    B = -panel._Pu.T @ (D @ panel._U0_disp + 1j * Ka * panel._U0_force)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)   # a zero pivot is raised below
-        lu = lu_factor(A)
-    if not np.all(np.diagonal(lu[0])):
+    t = panel._t
+    A = D - 1j * Ka * np.outer(t, t)
+    A[0, 0] -= 1j * Ka
+    b = D[:, 0] + 1j * Ka * t
+    b[0] += 1j * Ka
+    try:
+        z = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as err:
         raise ResonanceSingularityError(
             f"macro system singular at {omega / (2 * math.pi):.3f} Hz",
-            frequency_hz=omega / (2 * math.pi))
-    U1 = lu_solve(lu, B)
-    A_l = A.astype(np.clongdouble)
-    B_l = B.astype(np.clongdouble)
-    for _ in range(3):
-        resid = B_l - A_l @ U1.astype(np.clongdouble)
-        U1 = U1 + lu_solve(lu, resid.astype(np.complex128))
-    return complex(U1[-2]), complex(U1[-1])
+            frequency_hz=omega / (2 * math.pi)) from err
+    return complex(z[0]), complex(1.0 + t @ z)
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
         if "transmission" in cfg.stages:
             freqs = cfg.frequencies()
             for mu, em in ems.items():
-                pm = panel_mod.PanelModel(em, n_cells=cfg.panel_cells,
-                                          nx=cfg.macro_nx, ny=cfg.macro_ny)
+                pm = panel_mod.PanelModel(em, n_cells=cfg.panel_cells, nx=cfg.macro_nx)
                 tl = panel_mod.tl_sweep(pm, freqs)
                 p = out / f"tl_mu{_mu_tag(mu)}.csv"
                 tl.to_csv(p)

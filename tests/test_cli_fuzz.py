@@ -53,7 +53,6 @@ _VALUES = {
         "band_top_hz": (["6000", "100"], ["nan", "0", "-1"]),
         "panel_cells": (["1", "2"], ["0"]),
         "macro_nx": (["2", "3"], ["1"]),
-        "macro_ny": (["2", "4"], ["0"]),
         "kappa_samples": (["1", "2"], ["0"]),
         "bloch_branches": (["1", "3"], ["0"]),
     },

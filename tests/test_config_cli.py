@@ -246,7 +246,8 @@ class TestValidate:
         ("output", "deterministic", "yes"),
         ("optimize", "stagnation_window", "80"),
         ("analysis", "modes", "24"),
-    ], ids=["deterministic", "stagnation_window", "modes"])
+        ("analysis", "macro_ny", "4"),
+    ], ids=["deterministic", "stagnation_window", "modes", "macro_ny"])
     def test_retired_deterministic_key_still_parses(self, tmp_path, section, key, value):
         cfg_file = tmp_path / "old.cfg"
         cfg_file.write_text(f"[{section}]\n{key} = {value}\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from lramkit import dispersion, fem, homogenize
+from lramkit import dispersion, fem, homogenize, modal
 from lramkit.grid import build_grid
 from lramkit.materials import uniform_fields
 
@@ -163,6 +163,33 @@ class TestBlochOracle:
         res = dispersion.bloch_oracle(g, fields, np.array([k]), n_branches=4)
         wP = 2 * math.pi * res.frequencies_hz[0][res.x_fraction[0] > 0.5][0]
         assert wP / k == pytest.approx(c_eff, rel=0.02)
+
+    def test_elastic_branches_accurate_at_zero_wavenumber(self, epoxy, steel, rubber,
+                                                          monkeypatch):
+        """At kappa = 0 two rigid branches sit at 0 Hz; the shift keeps clear
+        of them, so every elastic branch of a coated steel disk is solved
+        to a small eigen residual."""
+        from lramkit import rve
+        g = build_grid(20, 20, 0.01)
+        layout = rve.build_layout(g, 0.05)
+        xy = g.coords - g.centroid
+        chi = rve.chi_at_gauss(layout, 0.003 - np.hypot(xy[:, 0], xy[:, 1]))
+        fields = rve.material_fields(
+            layout, chi, rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber),
+            include_viscosity=False)
+        solutions = []
+        solve = modal.solve_smallest
+
+        def recorded(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(modal, "solve_smallest", recorded)
+        dispersion.bloch_oracle(g, fields, np.array([0.0]), n_branches=8)
+        (sol,) = solutions
+        elastic = sol.frequencies_hz > 1.0
+        assert np.count_nonzero(elastic) == 6
+        assert sol.residuals[elastic].max() <= 1e-8
 
     def test_csv_format(self, epoxy, tmp_path):
         g = build_grid(8, 8, 0.01)

@@ -36,9 +36,18 @@ def _toy_resonant_em(cell=0.01):
 
 class TestAssembleMacro:
     def test_static_limit_is_stiffness(self, steel_em):
+        """At w = 0 only the stiffness on the step unknowns is left: zero on
+        the translations (R, u_y of the left face), and a uniform x-strain e
+        (equal x-steps) stores C11 e^2 over the slice area."""
         p = panel.PanelModel(steel_em)
         D = panel.assemble_macro(p, 0.0)
-        np.testing.assert_allclose(D, p._K.toarray(), rtol=1e-12)
+        np.testing.assert_allclose(D, p._dense[0], rtol=1e-12)
+        assert not D[:2].any() and not D[:, :2].any()
+        nx, e = p.grid.nx, 1e-3
+        z = np.zeros(D.shape[0])
+        z[2:nx + 2] = e * p.grid.hx
+        assert (z @ D @ z).real == pytest.approx(
+            steel_em.C_eff[0, 0] * e ** 2 * p.thickness * p.height, rel=1e-12)
 
     def test_elastic_panel_real_symmetric(self, steel_em):
         p = panel.PanelModel(steel_em)
@@ -74,7 +83,7 @@ class TestSolveRT:
         air_solid = MaterialPhase("airish", rho=1.2, K=0.6 * c11, G=0.3 * c11)
         fields = uniform_fields(g, air_solid)
         em = homogenize.effective_material(homogenize.cell_modes(g, fields), fields)
-        p = panel.PanelModel(em, nx=8, ny=4)
+        p = panel.PanelModel(em, nx=8)
         R, T = panel.solve_RT(p, 2 * math.pi * 40.0)
         assert abs(T) == pytest.approx(1.0, abs=1e-6)
         assert abs(R) == pytest.approx(0.0, abs=1e-6)
@@ -108,8 +117,8 @@ class TestSolveRT:
             assert abs(R) ** 2 + abs(T) ** 2 == pytest.approx(1.0, abs=1e-8)
 
     def test_mesh_independence(self, steel_em):
-        p44 = panel.PanelModel(steel_em, nx=4, ny=4)
-        p88 = panel.PanelModel(steel_em, nx=8, ny=8)
+        p44 = panel.PanelModel(steel_em, nx=4)
+        p88 = panel.PanelModel(steel_em, nx=8)
         for f in (300.0, 1500.0, 2900.0):
             _, T1 = panel.solve_RT(p44, 2 * math.pi * f)
             _, T2 = panel.solve_RT(p88, 2 * math.pi * f)
@@ -147,6 +156,13 @@ class TestTLSweep:
         p = panel.PanelModel(epoxy_em)
         res = panel.tl_sweep(p, np.linspace(5.0, 3000.0, 120))
         np.testing.assert_allclose(res.energy, 1.0, atol=1e-8)
+
+    @pytest.mark.parametrize("em_name", ["epoxy_em", "steel_em"])
+    def test_energy_identity_at_roundoff(self, em_name, request):
+        """Plain double precision meets the lossless identity at roundoff."""
+        p = panel.PanelModel(request.getfixturevalue(em_name))
+        res = panel.tl_sweep(p, np.linspace(5.0, 3000.0, 600))
+        assert np.abs(res.energy - 1.0).max() <= 1e-13
 
     def test_damped_panel_dissipates(self):
         em0 = _toy_resonant_em()
