@@ -271,6 +271,10 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
             err(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if cfg.macro_nx < 2:
         err(f"macro_nx must be at least 2, got {cfg.macro_nx}")
+    bloch_dofs = 2 * cfg.nx * cfg.ny   # the periodic cell's nodes times two
+    if "dispersion" in cfg.stages and cfg.bloch_branches > bloch_dofs:
+        err(f"bloch_branches must not exceed the {bloch_dofs} dofs of the Bloch "
+            f"pencil of a {cfg.nx}x{cfg.ny} cell, got {cfg.bloch_branches}")
 
     unknown = [s for s in cfg.stages if s not in STAGES]
     if not cfg.stages:

@@ -333,7 +333,3 @@ def mass_templates(grid: StructuredGrid):
         out.append(_scatter(grid, np.broadcast_to(blocks, (grid.nelem, 8, 8))))
     return tuple(out)
 
-
-def total_mass(M: sparse.spmatrix, I_rigid: np.ndarray) -> float:
-    """Translational mass recovered from the assembled mass matrix."""
-    return float(I_rigid[:, 0] @ (M @ I_rigid[:, 0]))

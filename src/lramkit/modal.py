@@ -26,7 +26,13 @@ it raises SolverFailureError.
 Relevance of a mode is judged by its momentum coupling <rho phi>
 (restricted systems) or its mean displacement <phi> (unrestricted systems),
 normalized by the corresponding value of a mass-normalized rigid
-translation so that the tolerance is dimensionless.
+translation so that the tolerance is dimensionless. An unrestricted solve
+returns the rigid translation as mode 0, which the filter skips by that
+position. This needs the pencil's kernel to be that one translation, and
+the shift to lie below the spectrum. Both hold for the optimizer's free
+pencil: it keeps the x-dofs, prescribes the y-dofs and has positive
+stiffness in every phase. The translation's eigenvalue is then roundoff of
+either sign, so the position decides, not the eigenvalue.
 """
 from __future__ import annotations
 
@@ -258,46 +264,19 @@ def filter_relevant_restricted(sol: ModalSolution, coupling: np.ndarray,
     return idx
 
 
-def rigid_projections(sol: ModalSolution, M_red, translations: np.ndarray) -> np.ndarray:
-    """Fraction of each mode living in the rigid-translation space.
-
-    ``translations`` holds the translation vectors expressed in the reduced
-    space (columns); directions not representable there (all-zero columns)
-    are skipped. Modes are mass-normalized, so the squared M-projections
-    onto the normalized translations sum to at most 1.
-    """
-    t = np.asarray(translations, dtype=float)
-    proj2 = np.zeros(sol.count)
-    for d in range(t.shape[1]):
-        td = t[:, d]
-        Mtd = M_red @ td
-        nrm2 = float(td @ Mtd)
-        if nrm2 <= 0.0:
-            continue
-        proj2 += (sol.modes.T @ Mtd) ** 2 / nrm2
-    return np.sqrt(np.clip(proj2, 0.0, None))
-
-
 def filter_relevant_unrestricted(sol: ModalSolution, mean_disp: np.ndarray,
-                                 reference: float,
-                                 rigid_projection: np.ndarray | None = None,
-                                 delta_tol: float = 1e-3,
-                                 proj_tol: float = 0.5) -> np.ndarray:
+                                 reference: float, delta_tol: float = 1e-3) -> np.ndarray:
     """Indices of unrestricted modes that bound bandgaps from above.
 
-    Rigid-body translations are excluded even though their mean displacement
-    is maximal: by their M-projection onto the translation space when
-    ``rigid_projection`` is given (robust to the eigenvalue roundoff of
-    penalty-stiffened systems), and by requiring a strictly positive
-    eigenvalue always. Zero-mean internal oscillations are excluded by the
+    Mode 0 is the rigid translation and is skipped, although its mean
+    displacement is the largest. That holds when the translation is the
+    pencil's whole kernel and the shift lies below the spectrum (see the
+    module docstring). Zero-mean internal oscillations are excluded by the
     delta_tol test against the rigid-translation mean 1/sqrt(rho_bar V).
     """
     norms = np.linalg.norm(np.atleast_2d(mean_disp), axis=0)
-    keep = (sol.eigenvalues > 0.0) & (norms > delta_tol * reference)
-    if rigid_projection is not None:
-        keep &= np.asarray(rigid_projection) < proj_tol
-    idx = np.flatnonzero(keep)
+    idx = 1 + np.flatnonzero(norms[1:] > delta_tol * reference)
     if idx.size == 0:
         raise NoRelevantModeError(
-            f"no unrestricted mode has positive eigenvalue and mean above {delta_tol}")
+            f"no unrestricted mode above the translation has mean above {delta_tol}")
     return idx

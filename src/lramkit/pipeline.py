@@ -51,7 +51,7 @@ class RunResult:
     out_dir: Path
     artifacts: list[Path] = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
-    error: str | None = None
+    error: str | None = None   # what the run stopped on (exit 1 or 2)
 
 
 def run(cfg: PipelineConfig, log=print) -> RunResult:
@@ -65,14 +65,17 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
     result.diagnostics = diags
     for d in diags:
         log(str(d))
-    if any(d.severity == "error" for d in diags):
+    errors = [d for d in diags if d.severity == "error"]
+    if errors:
         result.exit_code = 1
+        result.error = "; ".join(d.message for d in errors)
         return result
 
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        log(f"error: cannot create {out}: {exc}")
+        result.error = f"cannot create {out}: {exc}"
+        log(f"error: {result.error}")
         result.exit_code = 1
         return result
     artifacts: list[Path] = []
@@ -88,7 +91,6 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
     dense = registry[cfg.dense]
     soft = registry[cfg.soft]
 
-    stage_error: str | None = None
     stage_traceback: str | None = None
     try:
         # ---- stage: optimize -------------------------------------------
@@ -189,9 +191,9 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                 for f_bad, msg in tl.failures:
                     log(f"warning: sample {f_bad:.2f} Hz failed: {msg}")
     except Exception as exc:   # any stage failure is exit 2, never a traceback
-        stage_error = f"{type(exc).__name__}: {exc}"
+        result.error = f"{type(exc).__name__}: {exc}"
         stage_traceback = traceback.format_exc()   # kept in the manifest, not printed
-        log(f"stage failed: {stage_error}")
+        log(f"stage failed: {result.error}")
         result.exit_code = 2
 
     result.artifacts = artifacts
@@ -202,7 +204,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
         "config_echo": cfg.raw_text,
         "stages": list(cfg.stages),
         "wall_time_s": time.time() - t_start,
-        "error": stage_error,
+        "error": result.error,
         "traceback": stage_traceback,
         "files": [
             {"path": p.name,
@@ -210,7 +212,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
             for p in artifacts
         ],
     }
-    man_path = out / ("manifest.json" if stage_error is None else "failure_manifest.json")
+    man_path = out / ("manifest.json" if result.error is None else "failure_manifest.json")
     man_path.write_text(json.dumps(manifest, indent=1) + "\n")
     log(f"wrote {man_path}")
     return result

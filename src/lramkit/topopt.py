@@ -190,9 +190,8 @@ def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool
             return modal.filter_relevant_restricted(
                 sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
         mean = modal.mean_displacement(sol, ops.N_mu, P)
-        proj = modal.rigid_projections(sol, Mr, P.T @ ops.I_rigid)
         return modal.filter_relevant_unrestricted(
-            sol, mean, 1.0 / math.sqrt(rho_bar * volume), proj, delta_tol)
+            sol, mean, 1.0 / math.sqrt(rho_bar * volume), delta_tol)
 
     return modal.solve_relevant(Kr, Mr, count, relevant, shift=shift,
                                 system="restricted" if restricted else "unrestricted")

@@ -54,7 +54,7 @@ _VALUES = {
         "panel_cells": (["1", "2"], ["0"]),
         "macro_nx": (["2", "3"], ["1"]),
         "kappa_samples": (["1", "2"], ["0"]),
-        "bloch_branches": (["1", "3"], ["0"]),
+        "bloch_branches": (["1", "3"], ["0", "1000"]),
     },
     "output": {
         "stages": (["optimize", "optimize, homogenize", "transmission",

@@ -19,6 +19,8 @@ from lramkit.config import (
     validate,
 )
 from lramkit.errors import ConfigError, SolverFailureError
+from lramkit.grid import build_grid
+from lramkit.materials import uniform_fields
 
 
 class TestParseConfig:
@@ -188,6 +190,22 @@ class TestValidate:
         cfg = parse_config(f"[analysis]\nband_top_hz = {value}\n")
         assert any("band_top_hz" in d.message for d in self._errors(cfg))
 
+    def test_bloch_branches_above_pencil_size_rejected(self):
+        # a 4x4 periodic cell has 16 nodes, so its Bloch pencil has 32 dofs
+        cfg = parse_config("[grid]\nnx = 4\nny = 4\n[analysis]\nbloch_branches = 33\n")
+        assert any("bloch_branches" in d.message and "32" in d.message
+                   for d in self._errors(cfg))
+        cfg.stages = ("optimize",)   # no Bloch pencil is solved
+        assert not self._errors(cfg)
+
+    def test_bloch_branches_at_pencil_size_accepted(self, epoxy):
+        cfg = parse_config("[grid]\nnx = 4\nny = 4\n[analysis]\nbloch_branches = 32\n")
+        assert not self._errors(cfg)
+        g = build_grid(4, 4, 0.01)
+        res = dispersion.bloch_oracle(g, uniform_fields(g, epoxy), np.array([0.0]),
+                                      n_branches=32)
+        assert res.frequencies_hz.shape == (1, 32)
+
     def test_empty_frequency_sweep_rejected(self):
         cfg = parse_config("[analysis]\nsamples = 0\n")
         assert self._errors(cfg)
@@ -336,6 +354,7 @@ class TestPipelineRun:
         cfg.out_dir = str(tmp_path / "never")
         result = pipeline.run(cfg, log=lambda *_: None)
         assert result.exit_code == 1
+        assert "alpha must lie in [0, 1], got 2.0" in result.error
         assert not (tmp_path / "never").exists()
 
     def test_numerical_failure_writes_failure_manifest(self, tmp_path, monkeypatch):
@@ -348,6 +367,7 @@ class TestPipelineRun:
         assert result.exit_code == 2
         manifest = json.loads((result.out_dir / "failure_manifest.json").read_text())
         assert "synthetic failure" in manifest["error"]
+        assert result.error == manifest["error"] == "SolverFailureError: synthetic failure"
 
     def test_any_stage_exception_exits_two(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

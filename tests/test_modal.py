@@ -233,27 +233,24 @@ class TestUnrestrictedRelevance:
         # volume-average with trivial operators: mean over entries
         N_mu = np.full((1, 2), 0.5)
         mean = modal.mean_displacement(sol, N_mu, P)
-        proj = modal.rigid_projections(sol, Msp, P.T @ I_rigid)
         rho_bar = modal.average_density(Msp, I_rigid, 1.0)
-        return sol, mean, proj, rho_bar
+        return sol, mean, rho_bar
 
     def test_rigid_mode_excluded(self):
-        sol, mean, proj, rho_bar = self._free_chain(1.0, 2.0)
-        rel = modal.filter_relevant_unrestricted(sol, mean,
-                                                 1.0 / np.sqrt(rho_bar), proj)
+        sol, mean, rho_bar = self._free_chain(1.0, 2.0)
+        rel = modal.filter_relevant_unrestricted(sol, mean, 1.0 / np.sqrt(rho_bar))
         assert 0 not in rel           # translation has the largest mean
         assert rel.tolist() == [1]
 
     def test_equal_masses_excluded(self):
-        sol, mean, proj, rho_bar = self._free_chain(2.0, 2.0)
+        sol, mean, rho_bar = self._free_chain(2.0, 2.0)
         # out-of-phase mode of equal masses has zero mean displacement
         with pytest.raises(NoRelevantModeError):
-            modal.filter_relevant_unrestricted(sol, mean,
-                                               1.0 / np.sqrt(rho_bar), proj)
+            modal.filter_relevant_unrestricted(sol, mean, 1.0 / np.sqrt(rho_bar))
 
     def test_unequal_masses_mean_value(self):
         m1, m2, k = 1.0, 3.0, 4.0
-        sol, mean, proj, rho_bar = self._free_chain(m1, m2, k)
+        sol, mean, rho_bar = self._free_chain(m1, m2, k)
         lam2 = k * (1 / m1 + 1 / m2)
         assert sol.eigenvalues[1] == pytest.approx(lam2, rel=1e-12)
         # mass-normalized out-of-phase mode: phi = (1/m1, -1/m2)/sqrt(1/m1+1/m2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lramkit import fem, rve, topopt
+from lramkit import fem, modal, rve, topopt
 from lramkit.errors import FeasibilityError
 from lramkit.grid import build_grid
 from lramkit.materials import MaterialPhase
@@ -307,3 +307,34 @@ class TestOptimizerPencils:
         predicted = float(phi @ ((K2 - K) @ phi)) / ana.lambda_star1
         moved = ana2.lambda_star1 / ana.lambda_star1 - 1.0
         assert abs(moved - predicted) <= 1e-10
+
+    @pytest.mark.parametrize("frame_scale", [1e6, 1e10])
+    def test_free_mode_zero_is_the_translation(self, epoxy, steel, rubber, frame_scale):
+        """The unrestricted filter skips mode 0 by position; here it is the
+        x-translation, and the kept modes are those of the M-projection rule
+        that the position rule replaced (kept below as the reference)."""
+        g = build_grid(20, 20, 0.01)
+        layout = rve.build_layout(g, 0.05)
+        phases = rve.scaled_phases(epoxy, steel, rubber, frame_stiffness_scale=frame_scale)
+        xy = g.coords - g.centroid
+        chi = rve.chi_at_gauss(layout, 0.003 - np.hypot(xy[:, 0], xy[:, 1]))
+        st = topopt.OptimizerSettings(target_f_hz=1000.0, alpha=0.5)
+        ops_r = fem.build_constraints(g, fem.BoundaryCondition.FULLY_PRESCRIBED,
+                                      horizontal_only=True)
+        ops_u = fem.build_constraints(g, fem.BoundaryCondition.FREE,
+                                      horizontal_only=True)
+        ana = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
+
+        sol = ana.unrestricted
+        fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
+        M, _ = fem.assemble(g, fields, validate=False)
+        Mr = fem.reduce(M, ops_u)
+        t = ops_u.P.T @ ops_u.I_rigid[:, 0]          # x-translation, reduced
+        proj = np.abs(sol.modes.T @ (Mr @ t)) / math.sqrt(t @ (Mr @ t))
+        assert proj[0] >= 0.99
+
+        rho_bar = modal.average_density(M, ops_u.I_rigid, g.area)
+        mean = np.linalg.norm(modal.mean_displacement(sol, ops_u.N_mu, ops_u.P), axis=0)
+        old_rule = ((sol.eigenvalues > 0.0) & (proj < 0.5)
+                    & (mean > st.delta_tol / math.sqrt(rho_bar * g.area)))
+        assert ana.relevant_unrestricted.tolist() == np.flatnonzero(old_rule).tolist()
