@@ -69,7 +69,6 @@ class PipelineConfig:
     frame: str = "epoxy"
     dense: str = "steel"
     soft: str = "silicone_rubber"
-    frame_stiffness_scale: float = 1e6
     soft_density_scale: float = 1e-10
     interpolation_exponent: float = 2.0
     # optimize
@@ -122,7 +121,7 @@ def _finite(value: str) -> float:
 _SCHEMA = {
     "grid": {"nx": int, "ny": int, "cell_size": _finite},
     "materials": {"card": str, "frame": str, "dense": str, "soft": str,
-                  "frame_stiffness_scale": _finite, "soft_density_scale": _finite,
+                  "soft_density_scale": _finite,
                   "interpolation_exponent": _finite},
     "optimize": {"target_f_hz": _finite, "alpha": _finite, "dt": _finite, "c1": str,
                  "max_iters": int, "stop_tol": _finite, "delta_tol": _finite,
@@ -136,7 +135,8 @@ _SCHEMA = {
 
 # keys of earlier versions that still parse and are ignored
 _RETIRED = {("optimize", "stagnation_window"), ("output", "deterministic"),
-            ("analysis", "modes"), ("analysis", "macro_ny")}
+            ("analysis", "modes"), ("analysis", "macro_ny"),
+            ("materials", "frame_stiffness_scale")}
 
 _FIELD_OF = {
     ("materials", "card"): "material_card",
@@ -222,6 +222,8 @@ def read_phi(path, nx: int, ny: int) -> np.ndarray:
     if data.shape != (ny + 1, nx + 1):
         raise ConfigError(f"level-set file {path} has shape {data.shape}, "
                           f"expected {(ny + 1, nx + 1)}")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"level-set file {path} holds non-finite values")
     return data.ravel()
 
 
@@ -251,10 +253,8 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
         err(f"dt must be positive, got {cfg.dt}")
     if cfg.interpolation_exponent <= 0:
         err(f"interpolation_exponent must be positive, got {cfg.interpolation_exponent}")
-    scales_ok = cfg.frame_stiffness_scale > 0 and cfg.soft_density_scale >= 0
-    if not scales_ok:
-        err("need frame_stiffness_scale > 0 and soft_density_scale >= 0, got "
-            f"{cfg.frame_stiffness_scale} and {cfg.soft_density_scale}")
+    if cfg.soft_density_scale < 0:
+        err(f"soft_density_scale must be >= 0, got {cfg.soft_density_scale}")
     if not 0.0 <= cfg.delta_tol < 1.0:   # no mode couples more than a rigid one
         err(f"delta_tol must lie in [0, 1), got {cfg.delta_tol}")
     if cfg.samples < 1 or len(tuple(cfg.viscosities)) == 0:
@@ -307,8 +307,8 @@ def validate(cfg: PipelineConfig) -> list[Diagnostic]:
         elif cfg.cell_size > 0:
             phases = [registry[cfg.frame], registry[cfg.dense], registry[cfg.soft]]
             optimizing = "optimize" in cfg.stages
-            if optimizing and scales_ok:   # the optimizer's limit, of its scaled phases
-                ps = scaled_phases(*phases, cfg.frame_stiffness_scale, cfg.soft_density_scale)
+            if optimizing and cfg.soft_density_scale >= 0:   # of the optimizer's phases
+                ps = scaled_phases(*phases, cfg.soft_density_scale)
                 phases = [ps.frame, ps.dense, ps.soft]
             w_min = feasibility_lower_limit(phases, cfg.cell_size)
             f_min = w_min / (2.0 * math.pi)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import fem, modal
 from .grid import StructuredGrid
@@ -99,14 +98,6 @@ def effective_dispersion(em: EffectiveMaterial, freqs_hz, axis: int = 0,
                            kappa_norm=kappa * em.cell_size / math.pi)
 
 
-def bloch_transform(ops: fem.ConstraintOperators, kappa: float) -> sparse.csr_matrix:
-    """Master-slave map enforcing u(x + L) = e^{i kappa L} u(x) in x and
-    plain periodicity in y: the unpinned periodic map ``ops`` with its
-    phased rows, the nodes on x = L, times the phase."""
-    data = np.where(ops.phased, np.exp(1j * kappa * ops.grid.width), 1.0 + 0.0j)
-    return sparse.csr_matrix((data, ops.P.indices, ops.P.indptr), shape=ops.P.shape)
-
-
 def _bloch_branches(K, M, ops, kappa: float, n_branches: int):
     """Frequencies (Hz) and x-polarization of the lowest branches at one
     wavenumber. A function of its own so that the pencil, its factorization
@@ -118,11 +109,10 @@ def _bloch_branches(K, M, ops, kappa: float, n_branches: int):
     Mb = 0.5 * (Mb + Mb.conj().T)
     sol = modal.solve_smallest(Kb, Mb, n_branches, shift=_BLOCH_SHIFT, system="bloch")
     lam = np.clip(sol.eigenvalues, 0.0, None)
-    full = bloch_transform(ops, kappa) @ sol.modes
-    ux2 = np.abs(full[0::2, :]) ** 2
-    tot = np.abs(full) ** 2
-    return (np.sqrt(lam) / (2.0 * math.pi),
-            ux2.sum(axis=0) / np.maximum(tot.sum(axis=0), 1e-300))
+    # each row of the phased map holds one entry of modulus 1, so the
+    # expanded |u|^2 is P |v|^2 dof by dof
+    w = ops.P @ np.abs(sol.modes) ** 2
+    return np.sqrt(lam) / (2.0 * math.pi), w[0::2].sum(axis=0) / w.sum(axis=0)
 
 
 def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,

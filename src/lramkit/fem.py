@@ -239,15 +239,21 @@ def _check_periodic_pairs(grid: StructuredGrid):
 
 
 def build_constraints(grid: StructuredGrid, bc: BoundaryCondition,
-                      horizontal_only: bool = False) -> ConstraintOperators:
+                      horizontal_only: bool = False,
+                      frame: np.ndarray | None = None) -> ConstraintOperators:
     """Master-slave map of ``bc`` (every dof follows at most one master dof
     in its own direction; columns run over the master nodes, directions
     fastest) plus the averaging and rigid bases. ``horizontal_only``
     additionally prescribes every vertical dof, matching the one-directional
-    reduced analyses of the optimizer."""
+    reduced analyses of the optimizer. ``frame``, a node mask, makes those
+    nodes rigid: FULLY_PRESCRIBED prescribes them, FREE has them follow the
+    first of them."""
     nodes = np.arange(grid.nnode)
     boundary = np.isin(nodes, np.concatenate([grid.left, grid.right, grid.bottom, grid.top]))
     master = nodes.copy()            # the node each node follows, -1: prescribed
+    if frame is not None:
+        prescribed = bc is BoundaryCondition.FULLY_PRESCRIBED
+        master[frame] = -1 if prescribed else np.flatnonzero(frame)[0]
     if bc is BoundaryCondition.FULLY_PRESCRIBED:
         master[boundary] = -1
     elif bc is not BoundaryCondition.FREE:
@@ -277,7 +283,8 @@ def reduce(A: sparse.csr_matrix, ops: ConstraintOperators,
            phase: complex | None = None) -> sparse.csr_matrix:
     """P^H A P for A on the grid's assembly pattern, phased dofs times
     ``phase`` when given: A's stored entries summed in the order a sparse
-    product P^H (A P) adds them, exact zeros dropped as it drops them."""
+    product P^H (A P) adds them, exact zeros dropped as it drops them. The one
+    exception is a rigid frame's own entry: the product sums each row's part first."""
     indptr, indices, keep, slot, red_indptr, red_indices, (at, in_row, in_col) = ops.slots
     if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
         raise ValueError("matrix is not on the grid's assembly pattern")

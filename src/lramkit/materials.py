@@ -51,12 +51,9 @@ class MaterialPhase:
         """K + 4G/3, the longitudinal plane-strain stiffness."""
         return self.K + 4.0 * self.G / 3.0
 
-    def scaled(self, stiffness: float = 1.0, density: float = 1.0,
-               suffix: str = "") -> "MaterialPhase":
-        """New phase with moduli and/or density multiplied by the factors."""
-        return replace(self, name=self.name + suffix,
-                       K=self.K * stiffness, G=self.G * stiffness,
-                       rho=self.rho * density)
+    def scaled(self, density: float, suffix: str = "") -> "MaterialPhase":
+        """New phase with the density multiplied by ``density``."""
+        return replace(self, name=self.name + suffix, rho=self.rho * density)
 
     def with_viscosity(self, mu_visc: float) -> "MaterialPhase":
         return replace(self, mu_visc=mu_visc)

@@ -1,7 +1,8 @@
 """Generalized eigensolver and relevance filtering.
 
 Solves (K - lambda M) phi = 0, real symmetric or complex Hermitian, for the
-smallest eigenpairs with mass-normalized modes. Every pencil goes through
+smallest eigenpairs with mass-normalized modes; each eigenvalue is the
+Rayleigh quotient v^H K v of its mode. Every pencil goes through
 one path: K - sigma M is factored once with a sparse LU and handed to
 ARPACK as the shift-invert operator, started from a fixed vector. The shift
 is zero unless the caller gives one; a failed factorization is a solver
@@ -30,9 +31,10 @@ translation so that the tolerance is dimensionless. An unrestricted solve
 returns the rigid translation as mode 0, which the filter skips by that
 position. This needs the pencil's kernel to be that one translation, and
 the shift to lie below the spectrum. Both hold for the optimizer's free
-pencil: it keeps the x-dofs, prescribes the y-dofs and has positive
-stiffness in every phase. The translation's eigenvalue is then roundoff of
-either sign, so the position decides, not the eigenvalue.
+pencil: it keeps the x-dofs, prescribes the y-dofs, moves the frame as one
+rigid body and has positive stiffness in every phase. The translation's
+eigenvalue is then roundoff of either sign, so the position decides, not
+the eigenvalue.
 """
 from __future__ import annotations
 
@@ -82,30 +84,28 @@ def _as_csr(A):
     return sparse.csr_matrix(np.atleast_2d(np.asarray(A)))
 
 
-def _normalize(vals, vecs, M):
-    order = np.argsort(vals)
-    vals = np.real(np.asarray(vals))[order]
-    vecs = np.asarray(vecs)[:, order]
+def _solution(K, M, vals, vecs, system: str) -> ModalSolution:
+    """Eigenvectors in ascending order of their Ritz values ``vals``,
+    M-normalized with the largest entry real positive, their Rayleigh
+    quotients v^H K v, more accurate than the Ritz values, and residuals.
+    Column by column: n x k products would hold two more copies of the modes."""
+    vecs = np.asarray(vecs)[:, np.argsort(np.real(vals))]
+    lams = np.zeros(vecs.shape[1])
+    res = np.zeros(vecs.shape[1])
     for j in range(vecs.shape[1]):
-        mnorm = float(np.real(vecs[:, j].conj() @ (M @ vecs[:, j])))
+        v = vecs[:, j]
+        mnorm = float(np.real(v.conj() @ (M @ v)))
         if mnorm > 0.0:
-            vecs[:, j] /= np.sqrt(mnorm)
-        peak = np.argmax(np.abs(vecs[:, j]))
-        pivot = vecs[peak, j]
+            v /= np.sqrt(mnorm)
+        pivot = v[np.argmax(np.abs(v))]
         if np.abs(pivot) > 0.0:
             # rotate so the largest entry is real positive (sign for real input)
-            vecs[:, j] *= np.conj(pivot) / np.abs(pivot)
-    return vals, vecs
-
-
-def _residuals(K, M, vals, vecs):
-    res = np.zeros(len(vals))
-    for j, lam in enumerate(vals):
-        v = vecs[:, j]
-        r = K @ v - lam * (M @ v)
-        denom = np.linalg.norm(K @ v) + abs(lam) * np.linalg.norm(M @ v) + 1e-300
-        res[j] = np.linalg.norm(r) / denom
-    return res
+            v *= np.conj(pivot) / np.abs(pivot)
+        Kv, Mv = K @ v, M @ v
+        lam = lams[j] = np.real(np.vdot(v, Kv))
+        denom = np.linalg.norm(Kv) + abs(lam) * np.linalg.norm(Mv) + 1e-300
+        res[j] = np.linalg.norm(Kv - lam * Mv) / denom
+    return ModalSolution(lams, vecs, res, system)
 
 
 def _splu(A):
@@ -173,9 +173,7 @@ def solve_smallest(K, M, count: int, shift: float = 0.0,
 
     if count >= n - 1:   # beyond what ARPACK can return
         vals, vecs = dla.eigh(K.toarray(), M.toarray())
-        vals, vecs = vals[:count], vecs[:, :count]
-        vals, vecs = _normalize(vals, vecs, M)
-        return ModalSolution(vals, vecs, _residuals(K, M, vals, vecs), system)
+        return _solution(K, M, vals[:count], vecs[:, :count], system)
 
     if factor is None:
         factor = shift_invert(K, M, shift)
@@ -199,8 +197,7 @@ def solve_smallest(K, M, count: int, shift: float = 0.0,
             # reference cycle; free it now, not when the collector next
             # runs, so solves in a loop do not pile up their factorizations
             gc.collect(1)
-    vals, vecs = _normalize(vals, vecs, M)
-    return ModalSolution(vals, vecs, _residuals(K, M, vals, vecs), system)
+    return _solution(K, M, vals, vecs, system)
 
 
 def solve_relevant(K, M, count: int, relevant, shift: float = 0.0,

@@ -95,9 +95,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
     try:
         # ---- stage: optimize -------------------------------------------
         if "optimize" in cfg.stages:
-            phases = rve.scaled_phases(frame, dense, soft,
-                                       cfg.frame_stiffness_scale,
-                                       cfg.soft_density_scale,
+            phases = rve.scaled_phases(frame, dense, soft, cfg.soft_density_scale,
                                        cfg.interpolation_exponent)
             settings = topopt.OptimizerSettings(
                 target_f_hz=cfg.target_f_hz, alpha=cfg.alpha, dt=cfg.dt,

@@ -99,18 +99,15 @@ class PhaseSet:
 
 
 def scaled_phases(frame: MaterialPhase, dense: MaterialPhase, soft: MaterialPhase,
-                  frame_stiffness_scale: float = 1e6,
                   soft_density_scale: float = 1e-10,
                   exponent: float = 2.0) -> PhaseSet:
-    """Optimization-stage phases: quasi-rigid frame, massless coating.
+    """Optimization-stage phases: massless coating.
 
-    The default frame scaling is 1e6, keeping the frame several decades
-    stiffer than any inclusion while leaving the eigensolves well inside
-    double precision: scalings around 1e10 push stiffness roundoff into the
-    resonance band of interest and corrupt the free-system rigid mode.
+    The frame keeps its true properties. The optimizer's constraint maps
+    hold it rigid, and there its stiffness cancels only to roundoff, which
+    any stiffness scaling would amplify (``topopt.constraint_maps``).
     """
-    return PhaseSet(frame=frame.scaled(stiffness=frame_stiffness_scale, suffix="*"),
-                    dense=dense,
+    return PhaseSet(frame=frame, dense=dense,
                     soft=soft.scaled(density=soft_density_scale, suffix="*"),
                     exponent=exponent)
 

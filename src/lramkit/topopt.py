@@ -10,9 +10,9 @@ follows: an iteration moves to a probed candidate only when that lowers
 the cost, and the march stops at the first iteration where none does.
 
 Both reduced systems prescribe every vertical dof (the panel carries
-horizontally polarized waves), the frame is made quasi-rigid and the
-coating quasi-massless through the configured property scalings, so the
-modal analysis only sees the internal resonances that matter.
+horizontally polarized waves) and hold the frame rigid by constraint, and
+the coating is made quasi-massless through the configured density scaling,
+so the modal analysis only sees the internal resonances that matter.
 """
 from __future__ import annotations
 
@@ -177,6 +177,17 @@ class OptimizeResult:
         return (math.sqrt(c.lambda1) - math.sqrt(c.lambda_star1)) / (2.0 * math.pi)
 
 
+def constraint_maps(layout: rve.CellLayout):
+    """(restricted, unrestricted) maps of the optimizer: every vertical dof
+    prescribed, and the frame (every node of a frame element) prescribed or
+    following one translation dof."""
+    grid = layout.grid
+    frame = np.isin(np.arange(grid.nnode), grid.elements[~layout.design_elements])
+    return tuple(fem.build_constraints(grid, bc, horizontal_only=True, frame=frame)
+                 for bc in (fem.BoundaryCondition.FULLY_PRESCRIBED,
+                            fem.BoundaryCondition.FREE))
+
+
 def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool):
     """Smallest modes of the reduced pencil plus relevance indices."""
     P = ops.P
@@ -337,10 +348,7 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
             f"target {settings.target_f_hz:.1f} Hz is below the feasibility limit "
             f"{omega_min / (2.0 * math.pi):.1f} Hz for a {grid.cell_size} m cell")
 
-    ops_r = fem.build_constraints(grid, fem.BoundaryCondition.FULLY_PRESCRIBED,
-                                  horizontal_only=True)
-    ops_u = fem.build_constraints(grid, fem.BoundaryCondition.FREE,
-                                  horizontal_only=True)
+    ops_r, ops_u = constraint_maps(layout)
 
     state = LevelSetState(layout=layout, phi=np.full(grid.nnode, PHI0))
     current = analyze_design(layout, rve.chi_at_gauss(layout, state.phi), phases,

@@ -117,38 +117,43 @@ def chain_matrices(masses, springs):
 
 
 def master_slave_map(grid, bc: str, horizontal_only: bool = False,
-                     kappa: float = 0.0):
+                     kappa: float = 0.0, frame=None):
     """Node-by-node constraint operator P (csr) of a cell.
 
     ``bc`` is "free", "fully-prescribed", "periodic-pinned" (corners
     prescribed, right/top edge nodes follow left/bottom ones) or "periodic"
     (unpinned: every node follows the node (i mod nx, j mod ny), times
     e^{i kappa L} when it sits on x = L). Columns run over the masters,
-    directions fastest.
+    directions fastest. ``frame``, a node mask for the first two, makes
+    those nodes rigid: prescribed ("fully-prescribed"), or following the
+    first of them ("free").
     """
     nnode = grid.nnode
     directions = (0,) if horizontal_only else (0, 1)
     boundary = np.zeros(nnode, dtype=bool)
     for arr in (grid.left, grid.right, grid.bottom, grid.top):
         boundary[arr] = True
+    in_frame = np.zeros(nnode, dtype=bool) if frame is None else np.asarray(frame)
     rows: list[int] = []
     cols: list[int] = []
     vals: list = []
 
     if bc == "fully-prescribed":
         col = 0
-        for node in np.flatnonzero(~boundary):
+        for node in np.flatnonzero(~boundary & ~in_frame):
             for d in directions:
                 rows.append(2 * node + d)
                 cols.append(col)
                 col += 1
     elif bc == "free":
-        col = 0
+        first_col: dict[int, int] = {}   # master node -> its first column
         for node in range(nnode):
-            for d in directions:
+            master = int(np.flatnonzero(in_frame)[0]) if in_frame[node] else node
+            if master not in first_col:
+                first_col[master] = len(directions) * len(first_col)
+            for k, d in enumerate(directions):
                 rows.append(2 * node + d)
-                cols.append(col)
-                col += 1
+                cols.append(first_col[master] + k)
     elif bc == "periodic-pinned":
         corner_set = set(int(c) for c in grid.corners)
         master_of = np.full(nnode, -1, dtype=np.int64)

@@ -372,12 +372,7 @@ class TestSupplementaryInvariants:
                                    materials["silicone_rubber"])
         for alpha, (res, _) in designs.items():
             settings = res.settings
-            ops_r = fem.build_constraints(cell_layout.grid,
-                                          fem.BoundaryCondition.FULLY_PRESCRIBED,
-                                          horizontal_only=True)
-            ops_u = fem.build_constraints(cell_layout.grid,
-                                          fem.BoundaryCondition.FREE,
-                                          horizontal_only=True)
+            ops_r, ops_u = topopt.constraint_maps(cell_layout)
             chi = rve.chi_at_gauss(cell_layout, res.state.phi)
             fresh = topopt.analyze_design(cell_layout, chi, phases, settings,
                                           ops_r, ops_u)

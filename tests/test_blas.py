@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lramkit import blas, fem, rve, topopt
+from lramkit import blas, rve, topopt
 from lramkit.grid import build_grid
 
 
@@ -74,10 +74,7 @@ class TestSingleThreaded:
         xy = g.coords - g.centroid
         chi = rve.chi_at_gauss(layout, 0.003 - np.hypot(xy[:, 0], xy[:, 1]))
         st = topopt.OptimizerSettings(target_f_hz=1000.0, alpha=0.5)
-        ops_r = fem.build_constraints(g, fem.BoundaryCondition.FULLY_PRESCRIBED,
-                                      horizontal_only=True)
-        ops_u = fem.build_constraints(g, fem.BoundaryCondition.FREE,
-                                      horizontal_only=True)
+        ops_r, ops_u = topopt.constraint_maps(layout)
         outside = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
         with blas.single_threaded():
             inside = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)

@@ -30,7 +30,6 @@ _VALUES = {
     },
     "materials": {
         "frame": (["epoxy", "steel"], ["unobtainium"]),
-        "frame_stiffness_scale": (["1e6", "1"], ["0", "-1e6"]),
         "soft_density_scale": (["1e-10", "0", "1"], ["-1"]),
         "interpolation_exponent": (["2", "1"], ["0", "-1"]),
     },
@@ -89,24 +88,29 @@ def _runs(draw):
                 value = draw(st.none() | st.sampled_from(good)) or _SMALL.get(key)
             if value is not None:
                 lines.append(f"{key} = {value}")
-    phi = draw(st.sampled_from(["design", "design", None, "wrong_shape", "missing"]))
+    phi = draw(st.sampled_from(["design", "design", None, "wrong_shape", "non_finite",
+                                "missing"]))
     rhos = draw(st.none() | st.tuples(*[st.sampled_from(["1180", "7780", "0"])] * 3))
     return draw(st.sampled_from(_VERBS)), "\n".join(lines) + "\n", phi, rhos
 
 
 def _level_set(tmp: Path, kind: str, text: str) -> Path:
-    """A level-set file for the drawn grid (or one of the wrong shape)."""
+    """A level-set file for the drawn grid (or one of the wrong shape, or one
+    with a nan node)."""
     path = tmp / "phi.txt"
     if kind == "missing":
         return path
     grid = dict(line.split(" = ") for line in text.splitlines() if " = " in line)
     nx = ny = 2
-    if kind == "design":
+    if kind in ("design", "non_finite"):
         nx, ny = (max(int(grid[k]), 1) for k in ("nx", "ny"))
     xs = np.linspace(-1.0, 1.0, nx + 1)
     ys = np.linspace(-1.0, 1.0, ny + 1)
     xg, yg = np.meshgrid(xs, ys)
-    pipeline.write_phi(np.where(np.hypot(xg, yg) <= 0.6, 1.0, -1.0), path)
+    phi = np.where(np.hypot(xg, yg) <= 0.6, 1.0, -1.0)
+    if kind == "non_finite":
+        phi[ny // 2, nx // 2] = np.nan
+    pipeline.write_phi(phi, path)
     return path
 
 

@@ -97,15 +97,27 @@ def _bloch_transform_reference(grid, kappa):
 
 class TestBlochOracle:
     @pytest.mark.parametrize("nx, ny", [(7, 4), (3, 5), (2, 2)])
-    def test_transform_matches_reference(self, nx, ny):
+    def test_x_fraction_matches_reference(self, epoxy, steel, nx, ny, monkeypatch):
+        """The x-fraction of each branch, read from |v|^2 through the
+        unphased map, equals that of the node-by-node phased map applied to
+        the same modes."""
         g = build_grid(nx, ny, 0.01)
-        ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC)
-        for kap in (0.0, 0.3 * math.pi / 0.01, -math.pi / 0.01, 2.5):
-            ref = _bloch_transform_reference(g, kap)
-            T = dispersion.bloch_transform(ops, kap)
-            assert T.shape == ref.shape and T.dtype == ref.dtype
-            for name in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(T, name), getattr(ref, name))
+        fields = uniform_fields(g, epoxy)
+        fields.rho[: g.nelem // 2] = steel.rho     # break the symmetry
+        sols = []
+        solve = modal.solve_smallest
+
+        def recording(*args, **kwargs):
+            sols.append(solve(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(modal, "solve_smallest", recording)
+        kappas = np.array([0.0, 0.3 * math.pi / 0.01, -math.pi / 0.01, 2.5])
+        res = dispersion.bloch_oracle(g, fields, kappas, n_branches=3)
+        for kap, sol, x_fraction in zip(kappas, sols, res.x_fraction):
+            full = _bloch_transform_reference(g, kap) @ sol.modes
+            ref = (np.abs(full[0::2]) ** 2).sum(axis=0) / (np.abs(full) ** 2).sum(axis=0)
+            np.testing.assert_allclose(x_fraction, ref, rtol=1e-14, atol=1e-15)
 
     def test_acoustic_branch_through_origin(self, epoxy):
         g = build_grid(8, 8, 0.01)

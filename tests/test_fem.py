@@ -257,10 +257,22 @@ class TestConstraints:
 
 BC = fem.BoundaryCondition
 # the real maps: FREE and FULLY_PRESCRIBED with and without horizontal_only,
-# and both periodic ones
+# the optimizer's two (horizontal_only with a rigid frame: "frame"), and both
+# periodic ones
 REAL_MAPS = [(BC.FREE, False), (BC.FREE, True), (BC.FULLY_PRESCRIBED, False),
              (BC.FULLY_PRESCRIBED, True), (BC.PERIODIC_PINNED, False),
-             (BC.PERIODIC, False)]
+             (BC.PERIODIC, False), (BC.FREE, "frame"), (BC.FULLY_PRESCRIBED, "frame")]
+
+
+def _map_options(g, horizontal):
+    """``build_constraints`` keywords of a REAL_MAPS entry. The frame is the
+    boundary plus the second node column, so it starts at node 0 but is not
+    a ring, and leaves interior nodes on both sides of the column."""
+    if horizontal != "frame":
+        return {"horizontal_only": horizontal}
+    i, j = np.divmod(np.arange(g.nnode), g.nx + 1)[::-1]
+    return {"horizontal_only": True,
+            "frame": (i <= 1) | (i == g.nx) | (j == 0) | (j == g.ny)}
 
 
 def _map_grid(name):
@@ -287,8 +299,9 @@ class TestMasterSlaveMap:
     @pytest.mark.parametrize("bc, horizontal", REAL_MAPS)
     def test_map_matches_node_loop(self, grid_name, bc, horizontal):
         g = _map_grid(grid_name)
-        ops = fem.build_constraints(g, bc, horizontal_only=horizontal)
-        ref = master_slave_map(g, bc.value, horizontal_only=horizontal)
+        options = _map_options(g, horizontal)
+        ops = fem.build_constraints(g, bc, **options)
+        ref = master_slave_map(g, bc.value, **options)
         assert ops.P.shape == ref.shape
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(ops.P, name), getattr(ref, name))
@@ -296,17 +309,22 @@ class TestMasterSlaveMap:
     @pytest.mark.parametrize("bc, horizontal", REAL_MAPS)
     def test_reduce_is_the_sparse_product(self, epoxy, grid_name, bc, horizontal):
         """Bitwise P^T A P, zeros dropped, for M (whose pattern stores the
-        zero x-y couplings), K and C."""
+        zero x-y couplings), K and C. The one exception is the rigid frame's
+        own entry, the first stored one: ``reduce`` adds a row's frame
+        entries to it one by one, the product first among themselves."""
         g = _map_grid(grid_name)
-        ops = fem.build_constraints(g, bc, horizontal_only=horizontal)
+        ops = fem.build_constraints(g, bc, **_map_options(g, horizontal))
         P = ops.P
+        skip = 1 if (bc, horizontal) == (BC.FREE, "frame") else 0
         for A in _random_matrices(g, epoxy):
             red = fem.reduce(A, ops)
             ref = (P.T @ (A @ P)).tocsr()
             ref.sort_indices()
             assert red.shape == ref.shape and red.has_canonical_format
-            for name in ("indptr", "indices", "data"):
+            for name in ("indptr", "indices"):
                 np.testing.assert_array_equal(getattr(red, name), getattr(ref, name))
+            np.testing.assert_array_equal(red.data[skip:], ref.data[skip:])
+            assert red.data[0] == pytest.approx(ref.data[0], rel=1e-14)
 
     @pytest.mark.parametrize("kL", [0.0, 0.3 * np.pi, -np.pi])
     def test_bloch_reduce_is_the_phased_product(self, epoxy, grid_name, kL):

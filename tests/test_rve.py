@@ -68,11 +68,8 @@ class TestFields:
         assert fields.rho[layout60.design_elements].max() == pytest.approx(rubber.rho)
 
     def test_scaled_phases(self, epoxy, steel, rubber):
-        phases = rve.scaled_phases(epoxy, steel, rubber,
-                                   frame_stiffness_scale=1e6,
-                                   soft_density_scale=1e-10)
-        assert phases.frame.K == pytest.approx(5.49e9 * 1e6)
-        assert phases.frame.rho == pytest.approx(1180.0)
+        phases = rve.scaled_phases(epoxy, steel, rubber, soft_density_scale=1e-10)
+        assert phases.frame == epoxy
         assert phases.soft.rho == pytest.approx(1300.0 * 1e-10)
         assert phases.soft.K == pytest.approx(0.63e6)
         assert phases.dense.K == pytest.approx(1.72e11)
