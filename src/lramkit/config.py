@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidMaterialError
 from .grid import build_grid
 from .materials import MaterialPhase, builtin_materials
 from .rve import build_layout, scaled_phases
@@ -173,11 +173,20 @@ def parse_config(text: str, path: str | None = None) -> PipelineConfig:
     return cfg
 
 
+def _read_text(p: Path, what: str) -> str:
+    """Text of an existing file, or ConfigError naming it when it is not a
+    readable UTF-8 file (a directory, say)."""
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {what} {p}: {err}") from err
+
+
 def load_config(path) -> PipelineConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(), path=str(p))
+    return parse_config(_read_text(p, "config file"), path=str(p))
 
 
 def parse_material_card(text: str) -> dict[str, MaterialPhase]:
@@ -196,8 +205,11 @@ def parse_material_card(text: str) -> dict[str, MaterialPhase]:
         for req in ("rho", "K", "G"):
             if req not in vals:
                 raise ConfigError(f"material [{name}] missing field '{req}'")
-        phases[name] = MaterialPhase(name=name, rho=vals["rho"], K=vals["K"],
-                                     G=vals["G"], mu_visc=vals.get("mu", 0.0))
+        try:
+            phases[name] = MaterialPhase(name=name, rho=vals["rho"], K=vals["K"],
+                                         G=vals["G"], mu_visc=vals.get("mu", 0.0))
+        except InvalidMaterialError as err:
+            raise ConfigError(f"material [{name}]: {err}") from err
     return phases
 
 
@@ -210,7 +222,7 @@ def load_materials(cfg: PipelineConfig) -> dict[str, MaterialPhase]:
         p = Path(cfg.path).parent / p
     if not p.exists():
         raise ConfigError(f"material card not found: {p}")
-    return parse_material_card(p.read_text())
+    return parse_material_card(_read_text(p, "material card"))
 
 
 def read_phi(path, nx: int, ny: int) -> np.ndarray:

@@ -320,23 +320,3 @@ def gauss_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
     ue = u[grid.element_dofs()]
     return np.einsum("gai,ni->nga", Bm, ue)
 
-
-def mass_templates(grid: StructuredGrid):
-    """Unit-density directional mass matrices (Gxx, Gyy, Gxy_sym).
-
-    A tensor density rho = [[rxx, rxy], [rxy, ryy]] assembles to
-    rxx*Gxx + ryy*Gyy + rxy*Gxy_sym.
-    """
-    Nm, _ = _reference_operators(grid.hx, grid.hy)
-    dJ = grid.hx * grid.hy / 4.0
-    out = []
-    mats = {
-        "xx": np.array([[1.0, 0.0], [0.0, 0.0]]),
-        "yy": np.array([[0.0, 0.0], [0.0, 1.0]]),
-        "xy": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    }
-    for key in ("xx", "yy", "xy"):
-        blocks = np.einsum("gai,ab,gbj->ij", Nm, mats[key], Nm) * dJ
-        out.append(_scatter(grid, np.broadcast_to(blocks, (grid.nelem, 8, 8))))
-    return tuple(out)
-

@@ -1,18 +1,21 @@
 """Normal-incidence transmission loss of an air-backed homogenized panel.
 
 The panel is homogeneous, infinite in y and loaded uniformly, so its
-discrete response cannot vary in y: the slice is a strip whose every node
-follows the node of its column on y = 0. The strip is meshed with a small
-quadrilateral grid, loaded on its left face by an incident plus reflected
-plane air wave of unit incident amplitude and radiates a transmitted wave
-on the right. The unknowns are the reflection coefficient R, u_y of the
-left face and the column-to-column displacement steps, so
-u_x = 1 - R + (x-steps up to the column) and T = 1 - R + (all x-steps).
-Rigid translations do no elastic or viscous work, so the translation rows
-and columns of the projected stiffness and damping are zero by
-construction; no stiffness entry has to cancel against a unit
+response cannot vary in y: the slice of one cell height H is a chain of
+nx two-node bar elements through the thickness, each carrying u_x and u_y.
+It is loaded on its left face by an incident plus reflected plane air wave
+of unit incident amplitude and radiates a transmitted wave on the right.
+The unknowns of each direction are a rigid translation and the nx
+node-to-node displacement steps, mapped to the node displacements by the
+lower-triangular map L. The x-translation is the offset a = -R from the
+unit incident displacement, so u_x = 1 + a + (steps up to the node) and
+T = 1 + a + (all x-steps). The strain of a bar is (dx/h, 0, dy/h) for its
+steps dx, dy, so the stiffness and damping act on the steps alone through
+the xx/xy slice of C_eff and eta_eff: the translation rows and columns are
+zero by construction, no stiffness entry has to cancel against a unit
 displacement, and one dense complex solve meets the lossless identity
-|R|^2 + |T|^2 = 1 at double-precision roundoff.
+|R|^2 + |T|^2 = 1 at double-precision roundoff. The consistent bar mass
+equals the y-invariant restriction of the bilinear plane mass exactly.
 
 Convention exp(-i w t): the dynamic matrix is D(w) = K - i w C - w^2 M(w),
 with M built from the complex frequency-dependent effective density so the
@@ -27,62 +30,49 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem
 from .errors import PoleError, ResonanceSingularityError
-from .grid import build_rect_grid
 from .homogenize import EffectiveMaterial, effective_density
-from .materials import AIR_DENSITY, AIR_SOUND_SPEED, GaussPointFields
+from .materials import AIR_DENSITY, AIR_SOUND_SPEED
 from .dispersion import nudge_frequencies
 
-_STRIP_NY = 2   # elements across the strip height; any count gives the same answer
+# unit-density directional mass tensors: rho = rxx XX + ryy YY + rxy XY
+_DIRECTIONS = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]]),
+               np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 class PanelModel:
     """Macro model of a panel slice built from one EffectiveMaterial."""
 
-    def __init__(self, em: EffectiveMaterial, n_cells: int = 1, nx: int = 4,
-                 rho_air: float = AIR_DENSITY, v_air: float = AIR_SOUND_SPEED):
+    def __init__(self, em: EffectiveMaterial, n_cells: int = 1, nx: int = 4):
         if n_cells < 1:
             raise ValueError("panel thickness must be at least one cell")
+        if nx < 2:
+            raise ValueError(f"need at least 2 elements through the panel, got {nx}")
         self.em = em
         self.n_cells = n_cells
-        self.rho_air = rho_air
-        self.v_air = v_air
+        self.nx = nx
         self.thickness = n_cells * em.cell_size
         self.height = em.cell_size
-        self.grid = build_rect_grid(nx, _STRIP_NY, self.thickness, self.height)
         self.surface = self.height * 1.0    # unit out-of-plane depth
 
-        g = self.grid
-        fields = GaussPointFields(
-            rho=np.full((g.nelem, 4), em.rho_bar),
-            C=np.broadcast_to(em.C_eff, (g.nelem, 4, 3, 3)).copy(),
-            eta=np.broadcast_to(em.eta_eff, (g.nelem, 4, 3, 3)).copy(),
-        )
-        # step map from the unknowns (R, u_y of the left face, nx x-steps,
-        # nx y-steps) to the displacement less u_x = 1: each node takes the
-        # translations and the steps up to its column
-        steps = (np.arange(g.nnode)[:, None] % (nx + 1)
-                 >= np.arange(1, nx + 1)).astype(float)
-        S = np.zeros((g.ndof, 2 * nx + 2))
-        S[0::2, 0] = -1.0
-        S[1::2, 1] = 1.0
-        S[0::2, 2:nx + 2] = steps
-        S[1::2, nx + 2:] = steps
-        _, K = fem.assemble(g, fields)
-        mats = [S.T @ (A @ S) for A in
-                (K, fem.damping_matrix(g, fields)) + fem.mass_templates(g)]
-        for A in mats[:2]:
-            A[:2, :] = A[:, :2] = 0.0   # translations do no elastic or viscous work
-        self._dense = tuple(mats)
+        h = self.thickness / nx
+        L = np.tril(np.ones((nx + 1, nx + 1)))  # (translation, steps) -> nodes
+        ends = np.r_[2.0, np.full(nx - 1, 4.0), 2.0]   # consistent bar mass, assembled
+        M1 = self.height * h / 6.0 * (np.diag(ends) + np.eye(nx + 1, k=1)
+                                      + np.eye(nx + 1, k=-1))
+        G = L.T @ M1 @ L
+        K1 = self.height / h * np.diag([0.0] + [1.0] * nx)
+        xs = [0, 2]   # Voigt xx and xy: the only strains a y-invariant field has
+        self._dense = (np.kron(em.C_eff[np.ix_(xs, xs)], K1),
+                       np.kron(em.eta_eff[np.ix_(xs, xs)], K1),
+                       *(np.kron(e, G) for e in _DIRECTIONS))
         self._t = np.zeros(2 * nx + 2)  # T = 1 + t . z
-        self._t[0] = -1.0
-        self._t[2:nx + 2] = 1.0
+        self._t[:nx + 1] = 1.0
 
 
 def assemble_macro(panel: PanelModel, omega: float) -> np.ndarray:
     """Dense complex dynamic matrix D(w) = K - i w C - w^2 M(w) on the
-    strip's step unknowns."""
+    chain's translation and step unknowns."""
     rho = effective_density(panel.em, omega)
     K, C, Gxx, Gyy, Gxy = panel._dense
     M = rho[0, 0] * Gxx + rho[1, 1] * Gyy + rho[0, 1] * Gxy
@@ -92,26 +82,26 @@ def assemble_macro(panel: PanelModel, omega: float) -> np.ndarray:
 def solve_RT(panel: PanelModel, omega: float) -> tuple[complex, complex]:
     """Reflection and transmission coefficients at angular frequency omega.
 
-    The step unknowns z measure the displacement from u_x = 1 everywhere.
-    That offset is the rigid translation -e_0 of the step map, so it loads
-    the system with D[:, 0], inertia only. With R = z_0 and T = 1 + t . z
-    the face forces -i K_a (1 + R) and +i K_a T add
-    -i K_a (e_0 e_0^T + t t^T) to D and i K_a (e_0 + t) to the load.
+    The unknowns z measure the displacement from u_x = 1 everywhere. That
+    offset is the rigid translation e_0, so it loads the system with
+    -D[:, 0], inertia only. With R = -z_0 and T = 1 + t . z the face forces
+    -i K_a (1 + R) and +i K_a T add -i K_a (e_0 e_0^T + t t^T) to D and
+    i K_a (t - e_0) to the load.
     """
     D = assemble_macro(panel, omega)
-    Ka = panel.rho_air * panel.v_air * omega * panel.surface
+    Ka = AIR_DENSITY * AIR_SOUND_SPEED * omega * panel.surface
     t = panel._t
     A = D - 1j * Ka * np.outer(t, t)
     A[0, 0] -= 1j * Ka
-    b = D[:, 0] + 1j * Ka * t
-    b[0] += 1j * Ka
+    b = -D[:, 0] + 1j * Ka * t
+    b[0] -= 1j * Ka
     try:
         z = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as err:
         raise ResonanceSingularityError(
             f"macro system singular at {omega / (2 * math.pi):.3f} Hz",
             frequency_hz=omega / (2 * math.pi)) from err
-    return complex(z[0]), complex(1.0 + t @ z)
+    return complex(-z[0]), complex(1.0 + t @ z)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def _runs(draw):
                 lines.append(f"{key} = {value}")
     phi = draw(st.sampled_from(["design", "design", None, "wrong_shape", "non_finite",
                                 "missing"]))
-    rhos = draw(st.none() | st.tuples(*[st.sampled_from(["1180", "7780", "0"])] * 3))
+    rhos = draw(st.none() | st.tuples(*[st.sampled_from(["1180", "7780", "0", "-1"])] * 3))
     return draw(st.sampled_from(_VERBS)), "\n".join(lines) + "\n", phi, rhos
 
 

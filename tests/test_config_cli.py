@@ -153,6 +153,33 @@ mu = 2.5
         with pytest.raises(ConfigError, match="gone.card"):
             load_materials(cfg)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rho", "-1"), ("K", "0"), ("G", "-3"), ("mu", "-0.5")])
+    def test_invalid_phase_values_name_the_section(self, field, value):
+        fields = {"rho": "9000", "K": "1e11", "G": "5e10", "mu": "2.5", field: value}
+        card = "[heavy]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+        with pytest.raises(ConfigError, match=r"material \[heavy\]"):
+            parse_material_card(card)
+
+    @pytest.mark.parametrize("which", ["config", "card"])
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file_names_path(self, tmp_path, capsys, which, kind):
+        cfg_file, card = tmp_path / "run.cfg", tmp_path / "mats.card"
+        bad = cfg_file if which == "config" else card
+        if which == "card":
+            cfg_file.write_text("[materials]\ncard = mats.card\n")
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"[x]\nrho = 1\xff\n")
+        with pytest.raises(ConfigError, match=bad.name):
+            load_materials(load_config(cfg_file))
+        assert cli.main(["validate", "--config", str(cfg_file)]) == 1
+        captured = capsys.readouterr()
+        assert "error" in captured.out + captured.err
+        assert bad.name in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestValidate:
     def _errors(self, cfg):

@@ -152,15 +152,7 @@ class TestFixedPatternAssembly:
             for A, blocks in zip((M, D, K), _einsum_blocks(g, rho, C, eta)):
                 ref = _coo_reference(g, blocks)
                 assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
-            G = fem.mass_templates(g)
-            Nm, _ = fem._reference_operators(g.hx, g.hy)
-            dJ = g.hx * g.hy / 4.0
-            for A, R in zip(G, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
-                                np.array([[0.0, 1.0], [1.0, 0.0]]))):
-                blk = np.einsum("gai,ab,gbj->ij", Nm, R, Nm) * dJ
-                ref = _coo_reference(g, np.broadcast_to(blk, (ne, 8, 8)))
-                assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
-            for A in (D, K) + G:
+            for A in (D, K):
                 assert A.has_canonical_format
                 assert np.shares_memory(A.indptr, M.indptr)
                 assert np.shares_memory(A.indices, M.indices)
@@ -350,13 +342,3 @@ class TestMasterSlaveMap:
             with pytest.raises(ValueError, match="assembly pattern"):
                 fem.reduce(A, ops)
 
-
-class TestMassTemplates:
-    def test_directional_sum_matches_mass(self, epoxy):
-        g = build_grid(4, 3, 0.7)
-        Gxx, Gyy, Gxy = fem.mass_templates(g)
-        fields = uniform_fields(g, _phase_like(1.0))
-        M, _ = fem.assemble(g, fields)
-        np.testing.assert_allclose((Gxx + Gyy).toarray(), M.toarray(), rtol=1e-12)
-        # xy template couples the two directions symmetrically
-        np.testing.assert_allclose(Gxy.toarray(), Gxy.toarray().T, rtol=1e-12)

@@ -34,18 +34,31 @@ def _toy_resonant_em(cell=0.01):
         cell_size=cell, volume=cell * cell)
 
 
+def _anisotropic_em(damped=True):
+    """Record with the xx-xy couplings C13, eta13 and rho_xy that isotropic
+    cells do not have: two resonances each move in x and in y."""
+    om = 2 * math.pi * np.array([700.0, 1900.0])
+    C = np.array([[8e9, 2e9, 1.5e9], [2e9, 7e9, 0.5e9], [1.5e9, 0.5e9, 3e9]])
+    eta = np.array([[5e4, 1e4, 8e3], [1e4, 4e4, 2e3], [8e3, 2e3, 2e4]])
+    return homogenize.EffectiveMaterial(
+        rho_bar=3000.0, C_eff=C, eta_eff=eta if damped else np.zeros((3, 3)),
+        Q=math.sqrt(3000.0) * np.array([[0.7, 0.2], [0.3, 0.4]]), omega2=om ** 2,
+        omega_d=np.array([[150.0, 20.0], [20.0, 90.0]]) if damped else np.zeros((2, 2)),
+        cell_size=0.01, volume=1e-4)
+
+
 class TestAssembleMacro:
     def test_static_limit_is_stiffness(self, steel_em):
         """At w = 0 only the stiffness on the step unknowns is left: zero on
-        the translations (R, u_y of the left face), and a uniform x-strain e
+        the translations (-R and u_y of the left face), and a uniform x-strain e
         (equal x-steps) stores C11 e^2 over the slice area."""
         p = panel.PanelModel(steel_em)
         D = panel.assemble_macro(p, 0.0)
         np.testing.assert_allclose(D, p._dense[0], rtol=1e-12)
-        assert not D[:2].any() and not D[:, :2].any()
-        nx, e = p.grid.nx, 1e-3
+        nx, e = p.nx, 1e-3
+        assert not D[[0, nx + 1]].any() and not D[:, [0, nx + 1]].any()
         z = np.zeros(D.shape[0])
-        z[2:nx + 2] = e * p.grid.hx
+        z[1:nx + 1] = e * p.thickness / nx
         assert (z @ D @ z).real == pytest.approx(
             steel_em.C_eff[0, 0] * e ** 2 * p.thickness * p.height, rel=1e-12)
 
@@ -60,6 +73,42 @@ class TestAssembleMacro:
         w = 2 * math.pi * 350.0    # below the 700 Hz resonance
         rho = homogenize.effective_density(em, w)
         assert rho[0, 0].real > em.rho_bar
+
+
+class TestAnisotropicSlice:
+    def test_stiffness_and_damping_store_xx_xy_moduli(self):
+        """A uniform x-strain e, a uniform shear g and their cross term store
+        C11 e^2, C33 g^2 and C13 e g over the slice area; eta alike."""
+        em = _anisotropic_em()
+        p = panel.PanelModel(em, nx=5)
+        nx, h, area = p.nx, p.thickness / p.nx, p.thickness * p.height
+        ex, gy = np.zeros(2 * nx + 2), np.zeros(2 * nx + 2)
+        ex[1:nx + 1] = 1e-3 * h
+        gy[nx + 2:] = 2e-3 * h
+        for A, T in zip(p._dense[:2], (em.C_eff, em.eta_eff)):
+            assert ex @ A @ ex == pytest.approx(T[0, 0] * 1e-6 * area, rel=1e-12)
+            assert gy @ A @ gy == pytest.approx(T[2, 2] * 4e-6 * area, rel=1e-12)
+            assert ex @ A @ gy == pytest.approx(T[0, 2] * 2e-6 * area, rel=1e-12)
+
+    def test_translation_recovers_density_tensor(self):
+        """Unit translations in x and y pick rho_ab times the slice area out
+        of rho_xx Gxx + rho_yy Gyy + rho_xy Gxy."""
+        em = _anisotropic_em()
+        p = panel.PanelModel(em, n_cells=3)
+        rho = homogenize.effective_density(em, 2 * math.pi * 1200.0)
+        assert abs(rho[0, 1]) > 0.1 * em.rho_bar
+        _, _, Gxx, Gyy, Gxy = p._dense
+        M = rho[0, 0] * Gxx + rho[1, 1] * Gyy + rho[0, 1] * Gxy
+        area = p.thickness * p.height
+        u = np.zeros((2, 2 * p.nx + 2))
+        u[0, 0] = u[1, p.nx + 1] = 1.0
+        np.testing.assert_allclose(u @ M @ u.T, rho * area, rtol=1e-12)
+
+    def test_lossless_identity_with_couplings(self):
+        p = panel.PanelModel(_anisotropic_em(damped=False))
+        res = panel.tl_sweep(p, np.linspace(5.0, 3000.0, 600))
+        assert not res.failures
+        assert np.abs(res.energy - 1.0).max() <= 1e-13
 
 
 class TestSolveRT:
@@ -97,6 +146,17 @@ class TestSolveRT:
             tl = -20 * math.log10(abs(T))
             tlo = -20 * math.log10(abs(To))
             assert tl == pytest.approx(tlo, abs=0.1)
+
+    def test_coefficients_match_transfer_matrix(self, steel_em):
+        """R and T as complex numbers, phase and sign included: a TL check
+        sees neither."""
+        p = panel.PanelModel(steel_em, nx=8)
+        for f in (50.0, 1000.0, 3000.0):
+            R, T = panel.solve_RT(p, 2 * math.pi * f)
+            Ro, To = air_solid_air_rt(steel_em.rho_bar, steel_em.C_eff[0, 0],
+                                      p.thickness, f)
+            assert abs(R - Ro) <= 1e-8
+            assert abs(T - To) <= 1e-5 * abs(To)
 
     def test_mass_law_magnitude(self, steel_em):
         p = panel.PanelModel(steel_em)
