@@ -7,6 +7,19 @@ in y) and returns the lowest branches with their polarization content, so
 longitudinal branches can be compared against the effective prediction.
 The Bloch map is the unpinned periodic map of ``fem`` with the nodes on
 x = L times e^{i kappa L}, and the Bloch pencil is its ``fem.reduce``.
+
+Only the border of that pencil depends on kappa: B, the reduced dofs of the
+left-edge masters that the phased dofs follow (2 ny of them), against I, the
+rest. With A = K - sigma M and t = e^{i kappa L}, A_II is one real matrix
+for every kappa and A_IB = E0 + t E1 with E0, E1 real. Each oracle call
+therefore factors A_II once (the one sparse factorization of the call) and
+forms the Gram matrix G = [E0 E1]^T A_II^-1 [E0 E1] in column chunks; per
+kappa, the Schur complement S = A_BB - (G00 + t G01 + conj(t) G10 + G11) is
+Cholesky-factored, and a shift-invert apply is an A_II solve, an S solve
+and a second A_II solve for the interior. This is exact static
+condensation. It needs sigma below the spectrum (sigma < 0 here), so that
+A_II and S are positive definite; a failed factorization of either is a
+solver failure.
 """
 from __future__ import annotations
 
@@ -14,8 +27,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg as dla
+from scipy import sparse
+from scipy.sparse import linalg as spla
 
 from . import fem, modal
+from .errors import SolverFailureError
 from .grid import StructuredGrid
 from .homogenize import EffectiveMaterial, effective_density
 from .materials import GaussPointFields
@@ -25,6 +42,9 @@ POLE_NUDGE_HZ = 0.1
 # rigid branches at kappa = 0 leaves the first elastic branch there with a
 # relative residual of about 1e-5 instead of 1e-8
 _BLOCH_SHIFT = -(2.0 * math.pi * 300.0) ** 2
+# border columns per interior solve while the Gram matrix is built: the whole
+# interior-by-border block at once would raise the peak memory of a 60x60 run
+_GRAM_CHUNK = 24
 
 
 @dataclass(frozen=True)
@@ -49,6 +69,15 @@ class BlochResult:
     kappas: np.ndarray                            # rad/m
     frequencies_hz: np.ndarray = field(repr=False)  # (nk, nb)
     x_fraction: np.ndarray = field(repr=False)      # (nk, nb) polarization
+    residuals: np.ndarray = field(repr=False)       # (nk, nb) eigen residuals
+
+    def worst_elastic_residual(self) -> float:
+        """Largest eigen residual over the elastic branches. The first two
+        branches at kappa = 0 are the rigid pair, left out by position: their
+        eigenvalues are roundoff, so their residuals are not small by nature."""
+        res = self.residuals.copy()
+        res[self.kappas == 0.0, :2] = 0.0
+        return float(res.max(initial=0.0))
 
     def to_csv(self, path, cell_size: float) -> None:
         nb = self.frequencies_hz.shape[1]
@@ -98,21 +127,96 @@ def effective_dispersion(em: EffectiveMaterial, freqs_hz, axis: int = 0,
                            kappa_norm=kappa * em.cell_size / math.pi)
 
 
-def _bloch_branches(K, M, ops, kappa: float, n_branches: int):
-    """Frequencies (Hz) and x-polarization of the lowest branches at one
-    wavenumber. A function of its own so that the pencil, its factorization
-    and the modes are freed before the next wavenumber's."""
-    phase = np.exp(1j * kappa * ops.grid.width)
+def _bloch_pencil(K, M, ops, phase: complex):
+    """Hermitian Bloch pencil (P^H K P, P^H M P), the x = L dofs times ``phase``."""
     Kb = fem.reduce(K, ops, phase)
     Mb = fem.reduce(M, ops, phase)
-    Kb = 0.5 * (Kb + Kb.conj().T)
-    Mb = 0.5 * (Mb + Mb.conj().T)
-    sol = modal.solve_smallest(Kb, Mb, n_branches, shift=_BLOCH_SHIFT, system="bloch")
+    return 0.5 * (Kb + Kb.conj().T), 0.5 * (Mb + Mb.conj().T)
+
+
+class _Condensation:
+    """The wavenumber-free part of the Bloch shift-invert operator.
+
+    ``border`` holds the reduced dofs of the left-edge masters, the only
+    ones the phased dofs follow, and ``inner`` the rest, both in the map's
+    column order. With A = K - sigma M and t = e^{i kappa L}, A_II is the
+    same real matrix at every wavenumber and A_IB = E0 + t E1 with E0, E1
+    real, read off the pencils at t = +1 and t = -1. ``lu`` factors A_II,
+    ``gram`` is [E0 E1]^T A_II^-1 [E0 E1].
+    """
+
+    def __init__(self, K, M, ops):
+        self.border = np.unique(ops.P[ops.phased].indices)
+        self.inner = np.setdiff1d(np.arange(ops.nfree), self.border)
+        rows = []   # the interior rows of A at t = +1 and t = -1, both real
+        for t in (1.0 + 0j, -1.0 + 0j):
+            Kb, Mb = _bloch_pencil(K, M, ops, t)
+            rows.append((Kb - _BLOCH_SHIFT * Mb)[self.inner].real)
+        plus, minus = rows
+        try:
+            self.lu = modal._splu(plus[:, self.inner])
+        except RuntimeError as err:
+            raise SolverFailureError(
+                f"Bloch interior factorization, shared by every wavenumber, failed: {err}"
+            ) from err
+        plus, minus = plus[:, self.border], minus[:, self.border]
+        E = sparse.hstack([0.5 * (plus + minus), 0.5 * (plus - minus)]).tocsc()
+        self.gram = np.empty((E.shape[1],) * 2)
+        for lo in range(0, E.shape[1], _GRAM_CHUNK):
+            chunk = slice(lo, lo + _GRAM_CHUNK)
+            self.gram[:, chunk] = E.T @ self.lu.solve(E[:, chunk].toarray())
+
+    def solve_interior(self, b):
+        """A_II^-1 b for a complex b, as one two-column real solve."""
+        x = self.lu.solve(np.column_stack((b.real, b.imag)))
+        return x[:, 0] + 1j * x[:, 1]
+
+    def shift_invert(self, Kb, Mb, phase: complex, kappa: float) -> modal.ShiftInvert:
+        """(Kb - sigma Mb)^-1 of the pencil at ``kappa`` through the Schur
+        complement S = A_BB - A_BI A_II^-1 A_IB, Cholesky-factored: S is
+        Hermitian positive definite because sigma lies below the spectrum."""
+        inner, border = self.inner, self.border
+        A = (Kb - _BLOCH_SHIFT * Mb)[:, border]
+        A_IB = A[inner]
+        A_BI = A_IB.conj().T.tocsr()
+        nb = len(border)
+        G = self.gram
+        S = A[border].toarray() - (G[:nb, :nb] + G[nb:, nb:]
+                                   + phase * G[:nb, nb:] + np.conj(phase) * G[nb:, :nb])
+        try:
+            chol = dla.cho_factor(0.5 * (S + S.conj().T))
+        except np.linalg.LinAlgError as err:
+            raise SolverFailureError(
+                f"Bloch Schur complement at kappa = {kappa:.9g} rad/m is not "
+                f"positive definite: {err}") from err
+
+        def apply(b):
+            b = np.ravel(b)
+            y = self.solve_interior(b[inner])
+            x = np.empty(len(b), dtype=complex)
+            x[border] = dla.cho_solve(chol, b[border] - A_BI @ y)
+            x[inner] = y - self.solve_interior(A_IB @ x[border])
+            return x
+
+        return modal.ShiftInvert(_BLOCH_SHIFT, spla.LinearOperator(
+            Kb.shape, matvec=apply, dtype=complex))
+
+
+def _bloch_branches(K, M, ops, condensation: _Condensation, kappa: float,
+                    n_branches: int):
+    """Frequencies (Hz), x-polarization and eigen residuals of the lowest
+    branches at one wavenumber. A function of its own so that the pencil,
+    its operator and the modes are freed before the next wavenumber's."""
+    phase = np.exp(1j * kappa * ops.grid.width)
+    Kb, Mb = _bloch_pencil(K, M, ops, phase)
+    factor = condensation.shift_invert(Kb, Mb, phase, kappa)
+    sol = modal.solve_smallest(Kb, Mb, n_branches, system="bloch", factor=factor)
     lam = np.clip(sol.eigenvalues, 0.0, None)
     # each row of the phased map holds one entry of modulus 1, so the
     # expanded |u|^2 is P |v|^2 dof by dof
     w = ops.P @ np.abs(sol.modes) ** 2
-    return np.sqrt(lam) / (2.0 * math.pi), w[0::2].sum(axis=0) / w.sum(axis=0)
+    return (np.sqrt(lam) / (2.0 * math.pi), w[0::2].sum(axis=0) / w.sum(axis=0),
+            sol.residuals)
 
 
 def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
@@ -121,16 +225,19 @@ def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
 
     Viscosity in ``fields`` is ignored: the pencil is Hermitian and the
     squared frequencies are real. ``x_fraction`` reports per-branch
-    longitudinal polarization for branch classification.
+    longitudinal polarization for branch classification. The interior is
+    factored once for every wavenumber (see the module docstring).
     """
     M, K = fem.assemble(grid, fields)
     ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC)
+    condensation = _Condensation(K, M, ops)
     kappas = np.asarray(kappas, dtype=float)
-    freqs = np.zeros((len(kappas), n_branches))
-    pol = np.zeros((len(kappas), n_branches))
+    freqs, pol, res = (np.zeros((len(kappas), n_branches)) for _ in range(3))
     for idx, kap in enumerate(kappas):
-        freqs[idx], pol[idx] = _bloch_branches(K, M, ops, kap, n_branches)
-    return BlochResult(kappas=kappas, frequencies_hz=freqs, x_fraction=pol)
+        freqs[idx], pol[idx], res[idx] = _bloch_branches(K, M, ops, condensation,
+                                                         kap, n_branches)
+    return BlochResult(kappas=kappas, frequencies_hz=freqs, x_fraction=pol,
+                       residuals=res)
 
 
 def bloch_band_gap(result: BlochResult, f_lo_hint: float, f_hi_hint: float,

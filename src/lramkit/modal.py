@@ -6,7 +6,10 @@ Rayleigh quotient v^H K v of its mode. Every pencil goes through
 one path: K - sigma M is factored once with a sparse LU and handed to
 ARPACK as the shift-invert operator, started from a fixed vector. The shift
 is zero unless the caller gives one; a failed factorization is a solver
-failure. ``solve_relevant`` grows
+failure. Bloch pencils hand in their own ``ShiftInvert`` instead: one LU of
+the wavenumber-free interior, shared by every wavenumber, condensed onto a
+Cholesky-factored border Schur complement (see ``dispersion``).
+``solve_relevant`` grows
 the mode count on that one factorization until a mode is relevant. Only
 requests for (nearly) all eigenpairs, which ARPACK cannot serve, take a
 dense solve.
@@ -72,7 +75,8 @@ class ModalSolution:
 
 @dataclass(frozen=True)
 class ShiftInvert:
-    """(K - sigma M)^-1 of one pencil as a sparse LU factorization."""
+    """(K - sigma M)^-1 of one pencil: a sparse LU factorization, or any
+    operator that applies the same inverse."""
 
     sigma: float
     operator: spla.LinearOperator = field(repr=False)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import lramkit
 from lramkit import cli, dispersion, homogenize, modal, pipeline
@@ -407,6 +408,27 @@ class TestPipelineRun:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert "stage failed: LinAlgError" in captured.out
+
+    def test_failed_bloch_cholesky_exits_two(self, tmp_path, monkeypatch, capsys):
+        def not_definite(*args, **kwargs):
+            raise linalg.LinAlgError("synthetic: not positive definite")
+
+        monkeypatch.setattr(linalg, "cho_factor", not_definite)
+        cfg_file = _gated_config(tmp_path, out_name="cli_out")
+        assert cli.main(["pipeline", "--config", str(cfg_file)]) == 2
+        manifest = json.loads((tmp_path / "cli_out" / "failure_manifest.json").read_text())
+        assert manifest["error"].startswith("SolverFailureError: Bloch Schur complement "
+                                            "at kappa = 0 rad/m")
+        assert "Traceback" not in capsys.readouterr().out
+
+    def test_bloch_residual_logged(self, tmp_path):
+        lines = []
+        cfg = load_config(_gated_config(tmp_path))
+        assert pipeline.run(cfg, log=lines.append).exit_code == 0
+        (line,) = [ln for ln in lines if ln.startswith("Bloch oracle:")]
+        worst = float(line.split("residual ")[1].split()[0])
+        assert 0.0 < worst <= 1e-8
+        assert line.endswith("over 3 wavenumbers")
 
     def test_ceiling_below_first_resonance_keeps_no_mode(self, tmp_path, monkeypatch):
         cfg = load_config(_gated_config(tmp_path))

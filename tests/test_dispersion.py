@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
+from scipy.sparse.linalg import splu
 
 from lramkit import dispersion, fem, homogenize, modal
+from lramkit.errors import SolverFailureError
 from lramkit.grid import build_grid
 from lramkit.materials import uniform_fields
 
@@ -212,3 +214,99 @@ class TestBlochOracle:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "k_norm,f1_Hz,f2_Hz"
         assert len(lines) == 3
+
+
+def _asymmetric_cell(nx, ny, epoxy, steel):
+    g = build_grid(nx, ny, 0.01)
+    fields = uniform_fields(g, epoxy)
+    fields.rho[: g.nelem // 2] = steel.rho
+    return g, fields
+
+
+_SPLIT_KAPPAS = (0.0, 0.3 * math.pi / 0.01, -math.pi / 0.01, 2.5)
+
+
+class TestBlochCondensation:
+    @pytest.mark.parametrize("nx, ny", [(7, 4), (3, 5), (2, 2)])
+    def test_apply_matches_full_factorization(self, epoxy, steel, nx, ny):
+        g, fields = _asymmetric_cell(nx, ny, epoxy, steel)
+        M, K = fem.assemble(g, fields)
+        ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC)
+        condensation = dispersion._Condensation(K, M, ops)
+        assert len(condensation.border) == 2 * ny
+        rng = np.random.default_rng(3)
+        for kap in _SPLIT_KAPPAS:
+            phase = np.exp(1j * kap * g.width)
+            Kb, Mb = dispersion._bloch_pencil(K, M, ops, phase)
+            factor = condensation.shift_invert(Kb, Mb, phase, kap)
+            assert factor.sigma == dispersion._BLOCH_SHIFT
+            b = rng.standard_normal(ops.nfree) + 1j * rng.standard_normal(ops.nfree)
+            ref = splu((Kb - factor.sigma * Mb).tocsc()).solve(b)
+            x = factor.operator.matvec(b)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("nx, ny", [(7, 4), (3, 5), (2, 2)])
+    def test_branches_match_dense_eigh(self, epoxy, steel, nx, ny):
+        g, fields = _asymmetric_cell(nx, ny, epoxy, steel)
+        res = dispersion.bloch_oracle(g, fields, np.array(_SPLIT_KAPPAS), n_branches=3)
+        M, K = fem.assemble(g, fields)
+        ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC)
+        for kap, freqs in zip(_SPLIT_KAPPAS, res.frequencies_hz):
+            Kb, Mb = dispersion._bloch_pencil(K, M, ops, np.exp(1j * kap * g.width))
+            lam = linalg.eigh(Kb.toarray(), Mb.toarray(), eigvals_only=True)[:3]
+            ref = np.sqrt(np.clip(lam, 0.0, None)) / (2 * math.pi)
+            elastic = ref > 1.0
+            np.testing.assert_allclose(freqs[elastic], ref[elastic], rtol=1e-9)
+
+    @pytest.mark.parametrize("nk", [1, 4])
+    def test_one_factorization_per_oracle_call(self, epoxy, steel, monkeypatch, nk):
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        calls = []
+        splu_ = modal._splu
+
+        def counting(A):
+            calls.append(A.shape)
+            return splu_(A)
+
+        monkeypatch.setattr(modal, "_splu", counting)
+        dispersion.bloch_oracle(g, fields, np.linspace(0.0, math.pi / 0.01, nk),
+                                n_branches=3)
+        assert calls == [(2 * 7 * 4 - 2 * 4,) * 2]
+
+    def test_failed_cholesky_names_the_wavenumber(self, epoxy, steel, monkeypatch):
+        def singular(*args, **kwargs):
+            raise linalg.LinAlgError("synthetic: not positive definite")
+
+        monkeypatch.setattr(linalg, "cho_factor", singular)
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        with pytest.raises(SolverFailureError, match="kappa = 157.079633 rad/m"):
+            dispersion.bloch_oracle(g, fields, np.array([0.5 * math.pi / 0.01]),
+                                    n_branches=3)
+
+    def test_failed_interior_factorization(self, epoxy, steel, monkeypatch):
+        def singular(A):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(modal, "_splu", singular)
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        with pytest.raises(SolverFailureError, match="every wavenumber"):
+            dispersion.bloch_oracle(g, fields, np.array([0.0]), n_branches=3)
+
+    def test_residuals_reported(self, epoxy, steel, monkeypatch):
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        sols = []
+        solve = modal.solve_smallest
+
+        def recording(*args, **kwargs):
+            sols.append(solve(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(modal, "solve_smallest", recording)
+        kappas = np.array([0.0, 0.5 * math.pi / 0.01])
+        res = dispersion.bloch_oracle(g, fields, kappas, n_branches=4)
+        assert res.residuals.shape == (2, 4)
+        for row, sol in zip(res.residuals, sols):
+            np.testing.assert_array_equal(row, sol.residuals)
+        elastic = np.concatenate([res.residuals[0, 2:], res.residuals[1]])
+        assert res.worst_elastic_residual() == elastic.max()
+        assert res.worst_elastic_residual() <= 1e-8
