@@ -5,13 +5,16 @@ wavenumber for an x-travelling longitudinal wave; the oracle solves the
 true heterogeneous cell under Bloch phase shifts in x (plain periodicity
 in y) and returns the lowest branches with their polarization content, so
 longitudinal branches can be compared against the effective prediction.
-The Bloch map is the unpinned periodic map of ``fem`` with the nodes on
-x = L times e^{i kappa L}, and the Bloch pencil is its ``fem.reduce``.
+The Bloch map is the unpinned periodic map P of ``fem`` as P0 + t P1, with
+t = e^{i kappa L}, P1 the rows of P on x = L and P0 the others. For a
+symmetric A the Bloch pencil is A0 + t A1 + conj(t) A1^T, whose two real
+parts A0 = P0^T A P0 + P1^T A P1 and A1 = P0^T A P1 are formed once per
+oracle call. Only this module knows the Bloch phase.
 
-Only the border of that pencil depends on kappa: B, the reduced dofs of the
-left-edge masters that the phased dofs follow (2 ny of them), against I, the
-rest. With A = K - sigma M and t = e^{i kappa L}, A_II is one real matrix
-for every kappa and A_IB = E0 + t E1 with E0, E1 real. Each oracle call
+Only the border of the pencil depends on kappa: A1 has its columns in B,
+the reduced dofs of the left-edge masters that the x = L dofs follow (2 ny
+of them), against I, the rest. With A = K - sigma M, A_II = (A0)_II and
+A_IB = E0 + t E1 with E0 = (A0)_IB, E1 = (A1)_IB. Each oracle call
 therefore factors A_II once (the one sparse factorization of the call) and
 forms the Gram matrix G = [E0 E1]^T A_II^-1 [E0 E1] in column chunks; per
 kappa, the Schur complement S = A_BB - (G00 + t G01 + conj(t) G10 + G11) is
@@ -127,40 +130,58 @@ def effective_dispersion(em: EffectiveMaterial, freqs_hz, axis: int = 0,
                            kappa_norm=kappa * em.cell_size / math.pi)
 
 
-def _bloch_pencil(K, M, ops, phase: complex):
-    """Hermitian Bloch pencil (P^H K P, P^H M P), the x = L dofs times ``phase``."""
-    Kb = fem.reduce(K, ops, phase)
-    Mb = fem.reduce(M, ops, phase)
-    return 0.5 * (Kb + Kb.conj().T), 0.5 * (Mb + Mb.conj().T)
+def _split_rows(ops):
+    """(P0, P1): the rows of the map ``ops.P`` off and on x = L."""
+    on_right = np.zeros(ops.grid.ndof)
+    on_right[2 * ops.grid.right] = on_right[2 * ops.grid.right + 1] = 1.0
+    return sparse.diags(1.0 - on_right) @ ops.P, sparse.diags(on_right) @ ops.P
 
 
-class _Condensation:
-    """The wavenumber-free part of the Bloch shift-invert operator.
+def _bloch_parts(A, P0, P1):
+    """Real parts (A0, A1) of the symmetric A under the Bloch map P0 + t P1,
+    so that its pencil is A0 + t A1 + conj(t) A1^T. A0 is symmetrized: the
+    pencil is then Hermitian to the last bit."""
+    AP1 = A @ P1
+    A0 = P0.T @ (A @ P0) + P1.T @ AP1
+    return (0.5 * (A0 + A0.T)).tocsr(), (P0.T @ AP1).tocsr()
 
-    ``border`` holds the reduced dofs of the left-edge masters, the only
-    ones the phased dofs follow, and ``inner`` the rest, both in the map's
-    column order. With A = K - sigma M and t = e^{i kappa L}, A_II is the
-    same real matrix at every wavenumber and A_IB = E0 + t E1 with E0, E1
-    real, read off the pencils at t = +1 and t = -1. ``lu`` factors A_II,
-    ``gram`` is [E0 E1]^T A_II^-1 [E0 E1].
+
+def _pencil_at(parts, t: complex):
+    """A0 + t A1 + conj(t) A1^T, the Bloch pencil of the parts (A0, A1), csr
+    or dense, at phase t."""
+    A0, A1 = parts
+    return A0 + t * A1 + np.conj(t) * A1.T
+
+
+class _BlochCell:
+    """The Bloch pencil of a cell in real parts and the wavenumber-free part
+    of its shift-invert operator (see the module docstring). ``K`` and ``M``
+    hold each matrix's parts (A0, A1), ``P`` the map, ``border`` and
+    ``inner`` B and I in the map's column order. With A = K - sigma M,
+    ``lu`` factors A_II, ``E`` is (E0, E1), ``A_BB`` the border block's
+    parts, and ``gram`` is [E0 E1]^T A_II^-1 [E0 E1].
     """
 
-    def __init__(self, K, M, ops):
-        self.border = np.unique(ops.P[ops.phased].indices)
+    def __init__(self, grid: StructuredGrid, fields: GaussPointFields):
+        M, K = fem.assemble(grid, fields)
+        ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC)
+        P0, P1 = _split_rows(ops)
+        self.P, self.width = ops.P, grid.width
+        self.K, self.M = _bloch_parts(K, P0, P1), _bloch_parts(M, P0, P1)
+        A0, A1 = (k - _BLOCH_SHIFT * m for k, m in zip(self.K, self.M))
+        self.border = np.unique(P1.indices)
         self.inner = np.setdiff1d(np.arange(ops.nfree), self.border)
-        rows = []   # the interior rows of A at t = +1 and t = -1, both real
-        for t in (1.0 + 0j, -1.0 + 0j):
-            Kb, Mb = _bloch_pencil(K, M, ops, t)
-            rows.append((Kb - _BLOCH_SHIFT * Mb)[self.inner].real)
-        plus, minus = rows
+        inner, border = self.inner, self.border
+        A0_I = A0[inner]
         try:
-            self.lu = modal._splu(plus[:, self.inner])
+            self.lu = modal._splu(A0_I[:, inner])
         except RuntimeError as err:
             raise SolverFailureError(
                 f"Bloch interior factorization, shared by every wavenumber, failed: {err}"
             ) from err
-        plus, minus = plus[:, self.border], minus[:, self.border]
-        E = sparse.hstack([0.5 * (plus + minus), 0.5 * (plus - minus)]).tocsc()
+        self.E = A0_I[:, border], A1[inner][:, border]
+        self.A_BB = A0[border][:, border].toarray(), A1[border][:, border].toarray()
+        E = sparse.hstack(self.E).tocsc()
         self.gram = np.empty((E.shape[1],) * 2)
         for lo in range(0, E.shape[1], _GRAM_CHUNK):
             chunk = slice(lo, lo + _GRAM_CHUNK)
@@ -171,18 +192,18 @@ class _Condensation:
         x = self.lu.solve(np.column_stack((b.real, b.imag)))
         return x[:, 0] + 1j * x[:, 1]
 
-    def shift_invert(self, Kb, Mb, phase: complex, kappa: float) -> modal.ShiftInvert:
-        """(Kb - sigma Mb)^-1 of the pencil at ``kappa`` through the Schur
-        complement S = A_BB - A_BI A_II^-1 A_IB, Cholesky-factored: S is
-        Hermitian positive definite because sigma lies below the spectrum."""
+    def shift_invert(self, t: complex, kappa: float) -> modal.ShiftInvert:
+        """(Kb - sigma Mb)^-1 of the pencil at phase t = e^{i kappa L} through
+        the Schur complement S = A_BB - A_BI A_II^-1 A_IB, Cholesky-factored:
+        S is Hermitian positive definite because sigma lies below the spectrum."""
         inner, border = self.inner, self.border
-        A = (Kb - _BLOCH_SHIFT * Mb)[:, border]
-        A_IB = A[inner]
+        E0, E1 = self.E
+        A_IB = (E0 + t * E1).tocsr()
         A_BI = A_IB.conj().T.tocsr()
         nb = len(border)
         G = self.gram
-        S = A[border].toarray() - (G[:nb, :nb] + G[nb:, nb:]
-                                   + phase * G[:nb, nb:] + np.conj(phase) * G[nb:, :nb])
+        S = _pencil_at(self.A_BB, t) - (G[:nb, :nb] + G[nb:, nb:]
+                                        + t * G[:nb, nb:] + np.conj(t) * G[nb:, :nb])
         try:
             chol = dla.cho_factor(0.5 * (S + S.conj().T))
         except np.linalg.LinAlgError as err:
@@ -199,22 +220,20 @@ class _Condensation:
             return x
 
         return modal.ShiftInvert(_BLOCH_SHIFT, spla.LinearOperator(
-            Kb.shape, matvec=apply, dtype=complex))
+            (self.P.shape[1],) * 2, matvec=apply, dtype=complex))
 
 
-def _bloch_branches(K, M, ops, condensation: _Condensation, kappa: float,
-                    n_branches: int):
+def _bloch_branches(cell: _BlochCell, kappa: float, n_branches: int):
     """Frequencies (Hz), x-polarization and eigen residuals of the lowest
     branches at one wavenumber. A function of its own so that the pencil,
     its operator and the modes are freed before the next wavenumber's."""
-    phase = np.exp(1j * kappa * ops.grid.width)
-    Kb, Mb = _bloch_pencil(K, M, ops, phase)
-    factor = condensation.shift_invert(Kb, Mb, phase, kappa)
-    sol = modal.solve_smallest(Kb, Mb, n_branches, system="bloch", factor=factor)
+    t = np.exp(1j * kappa * cell.width)
+    Kb, Mb = _pencil_at(cell.K, t), _pencil_at(cell.M, t)
+    sol = modal.solve_smallest(Kb, Mb, n_branches, factor=cell.shift_invert(t, kappa))
     lam = np.clip(sol.eigenvalues, 0.0, None)
     # each row of the phased map holds one entry of modulus 1, so the
     # expanded |u|^2 is P |v|^2 dof by dof
-    w = ops.P @ np.abs(sol.modes) ** 2
+    w = cell.P @ np.abs(sol.modes) ** 2
     return (np.sqrt(lam) / (2.0 * math.pi), w[0::2].sum(axis=0) / w.sum(axis=0),
             sol.residuals)
 
@@ -225,17 +244,15 @@ def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
 
     Viscosity in ``fields`` is ignored: the pencil is Hermitian and the
     squared frequencies are real. ``x_fraction`` reports per-branch
-    longitudinal polarization for branch classification. The interior is
-    factored once for every wavenumber (see the module docstring).
+    longitudinal polarization for branch classification. The pencil's real
+    parts are formed and the interior is factored once for every wavenumber
+    (see the module docstring).
     """
-    M, K = fem.assemble(grid, fields)
-    ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC)
-    condensation = _Condensation(K, M, ops)
+    cell = _BlochCell(grid, fields)
     kappas = np.asarray(kappas, dtype=float)
     freqs, pol, res = (np.zeros((len(kappas), n_branches)) for _ in range(3))
     for idx, kap in enumerate(kappas):
-        freqs[idx], pol[idx], res[idx] = _bloch_branches(K, M, ops, condensation,
-                                                         kap, n_branches)
+        freqs[idx], pol[idx], res[idx] = _bloch_branches(cell, kap, n_branches)
     return BlochResult(kappas=kappas, frequencies_hz=freqs, x_fraction=pol,
                        residuals=res)
 
@@ -244,12 +261,15 @@ def bloch_band_gap(result: BlochResult, f_lo_hint: float, f_hi_hint: float,
                    min_x_fraction: float = 0.5) -> tuple[float, float]:
     """Gap edges of the longitudinal branches around a hinted gap.
 
-    Collects every x-polarized branch frequency and brackets the largest
-    empty interval containing the hint's geometric center.
+    Collects every x-polarized branch frequency (x fraction at least
+    ``min_x_fraction``, ties within roundoff included) and brackets the
+    largest empty interval containing the hint's geometric center.
     """
     freqs = result.frequencies_hz.ravel()
     xs = result.x_fraction.ravel()
-    f = np.sort(freqs[(xs >= min_x_fraction) & (freqs >= 0.0)])
+    # a branch with x and y energies equal by symmetry reads 0.5 only to
+    # roundoff; in exact arithmetic it meets the threshold
+    f = np.sort(freqs[(xs >= min_x_fraction - 1e-9) & (freqs >= 0.0)])
     center = math.sqrt(f_lo_hint * f_hi_hint)
     below = f[f <= center]
     above = f[f > center]

@@ -21,10 +21,6 @@ class ConstraintError(LramError, RuntimeError):
 class SolverFailureError(LramError, RuntimeError):
     """Eigensolver did not converge within its iteration budget."""
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
-
 
 class NoRelevantModeError(LramError, RuntimeError):
     """No mode passes the relevance filter; the design may be infeasible or

@@ -9,8 +9,9 @@ optimization:
 * the linear-field basis Y (ndof x 3) with B_mu Y = I,
 * the rigid-translation basis I_rigid (ndof x 2) with N_mu I_rigid = I,
 * one master-slave map per boundary condition (each dof follows at most one
-  master, times a phase on x = L for the Bloch map), the operator P that
-  expands through it, and ``reduce``, the one way to form P^H A P.
+  master), the real 0/1 operator P that expands through it, and ``reduce``,
+  the one way to form P^T A P. Every map is real: ``dispersion`` builds the
+  Bloch pencil from two real parts of the unpinned periodic map.
 
 Quadrature is 2x2 Gauss (weights 1), exact for the bilinear element on the
 uniform rectangular grids used here.
@@ -189,12 +190,11 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class ConstraintOperators:
-    """Kinematic operators of a cell under one master-slave map: P expands through
-    it, ``phased`` dofs follow their master times a phase, ``slots`` serve ``reduce``."""
+    """Kinematic operators of a cell under one master-slave map: P expands
+    through it, ``slots`` serve ``reduce``."""
 
     P: sparse.csr_matrix
     grid: StructuredGrid = field(repr=False)
-    phased: np.ndarray = field(repr=False)
     slots: tuple = field(repr=False)
 
     @property
@@ -210,9 +210,9 @@ class ConstraintOperators:
     N_mu, B_mu, Y, I_rigid = (property(lambda self, k=k: self._bases[k]) for k in range(4))
 
 
-def _slot_map(grid: StructuredGrid, columns: np.ndarray, phased: np.ndarray, P):
+def _slot_map(grid: StructuredGrid, columns: np.ndarray, P):
     """Assembly pattern, kept entries (P selects) or each entry's reduced slot (one
-    past the last if prescribed), reduced pattern, and phased entries with flags."""
+    past the last if prescribed), and reduced pattern."""
     indptr, indices, _ = _pattern(grid.ndof, grid.element_dofs().tobytes())
     rows = np.repeat(np.arange(grid.ndof, dtype=np.int32), np.diff(indptr))
     r, c = columns[rows], columns[indices]
@@ -223,10 +223,7 @@ def _slot_map(grid: StructuredGrid, columns: np.ndarray, phased: np.ndarray, P):
     else:   # intp: bincount would convert any other index type on every call
         keep, slot = None, np.full(len(indices), len(red_indices), dtype=np.intp)
         slot[kept] = kept_slot
-    in_row, in_col = phased[rows], phased[indices]
-    at = np.flatnonzero(in_row | in_col).astype(np.int32)
-    return (indptr, indices, keep, slot, red_indptr, red_indices,
-            (at, in_row[at].view(np.uint8), in_col[at].view(np.uint8)))
+    return indptr, indices, keep, slot, red_indptr, red_indices
 
 
 def _check_periodic_pairs(grid: StructuredGrid):
@@ -274,33 +271,20 @@ def build_constraints(grid: StructuredGrid, bc: BoundaryCondition,
     rows = np.flatnonzero(columns >= 0)
     P = sparse.csr_matrix((np.ones(len(rows)), (rows, columns[rows])),
                           shape=(grid.ndof, width * len(order)))
-    phased = np.repeat(np.isin(nodes, grid.right) & (bc is BoundaryCondition.PERIODIC), 2)
-    return ConstraintOperators(P=P, grid=grid,
-                               phased=phased, slots=_slot_map(grid, columns, phased, P))
+    return ConstraintOperators(P=P, grid=grid, slots=_slot_map(grid, columns, P))
 
 
-def reduce(A: sparse.csr_matrix, ops: ConstraintOperators,
-           phase: complex | None = None) -> sparse.csr_matrix:
-    """P^H A P for A on the grid's assembly pattern, phased dofs times
-    ``phase`` when given: A's stored entries summed in the order a sparse
-    product P^H (A P) adds them, exact zeros dropped as it drops them. The one
-    exception is a rigid frame's own entry: the product sums each row's part first."""
-    indptr, indices, keep, slot, red_indptr, red_indices, (at, in_row, in_col) = ops.slots
+def reduce(A: sparse.csr_matrix, ops: ConstraintOperators) -> sparse.csr_matrix:
+    """P^T A P for A on the grid's assembly pattern: A's stored entries summed
+    in the order a sparse product P^T (A P) adds them, exact zeros dropped as
+    it drops them. The one exception is a rigid frame's own entry: the
+    product sums each row's part first."""
+    indptr, indices, keep, slot, red_indptr, red_indices = ops.slots
     if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
         raise ValueError("matrix is not on the grid's assembly pattern")
     n = len(red_indices)
-    real = A.data
-    if phase is not None:
-        # conj(t_row) (a t_col), t = 1 or phase, in the product's arithmetic
-        re, im = np.array([1.0, phase.real]), np.array([0.0, phase.imag])
-        a = A.data[at]
-        ar, ai, cr, ci = a * re[in_col], a * im[in_col], re[in_row], im[in_row]
-        real = A.data.copy()
-        real[at] = cr * ar + ci * ai
-    data = real[keep] if slot is None else np.bincount(slot, weights=real, minlength=n + 1)[:n]
-    if phase is not None:
-        data = data.astype(complex)
-        data.imag = np.bincount(slot[at], weights=cr * ai - ci * ar, minlength=n + 1)[:n]
+    data = (A.data[keep] if slot is None
+            else np.bincount(slot, weights=A.data, minlength=n + 1)[:n])
     nonzero = data != 0
     indptr = np.concatenate(([0], np.cumsum(nonzero, dtype=np.int32)))[red_indptr]
     return sparse.csr_matrix((data[nonzero], red_indices[nonzero], indptr),

@@ -138,7 +138,7 @@ def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
             modes[:, start:end] = modes[:, start:end] @ rot
             coupling[:, start:end] = block @ rot
         start = end
-    return modal.ModalSolution(vals, modes, sol.residuals, sol.system), coupling
+    return modal.ModalSolution(vals, modes, sol.residuals), coupling
 
 
 def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, modes_below: int,
@@ -155,11 +155,9 @@ def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, modes_below: i
     """
     rho_bar = modal.average_density(M, I_rigid, volume)
     if modes_below > 0:
-        sol = modal.solve_smallest(Kr, Mr, modes_below, shift=0.0, system="restricted",
-                                   factor=factor)
+        sol = modal.solve_smallest(Kr, Mr, modes_below, factor=factor)
     else:
-        sol = modal.ModalSolution(np.empty(0), np.empty((Kr.shape[0], 0)), np.empty(0),
-                                  "restricted")
+        sol = modal.ModalSolution(np.empty(0), np.empty((Kr.shape[0], 0)), np.empty(0))
     coupling = modal.momentum_coupling(sol, M, P, I_rigid, volume)
     sol, coupling = _align_degenerate(sol, coupling)
     try:

@@ -5,11 +5,11 @@ smallest eigenpairs with mass-normalized modes; each eigenvalue is the
 Rayleigh quotient v^H K v of its mode. Every pencil goes through
 one path: K - sigma M is factored once with a sparse LU and handed to
 ARPACK as the shift-invert operator, started from a fixed vector. The shift
-is zero unless the caller gives one; a failed factorization is a solver
-failure. Bloch pencils hand in their own ``ShiftInvert`` instead: one LU of
-the wavenumber-free interior, shared by every wavenumber, condensed onto a
-Cholesky-factored border Schur complement (see ``dispersion``).
-``solve_relevant`` grows
+is zero unless the caller factors at another one; a failed factorization is
+a solver failure. Bloch pencils hand in their own ``ShiftInvert`` instead:
+one LU of the wavenumber-free interior, shared by every wavenumber,
+condensed onto a Cholesky-factored border Schur complement (see
+``dispersion``). ``solve_relevant`` grows
 the mode count on that one factorization until a mode is relevant. Only
 requests for (nearly) all eigenpairs, which ARPACK cannot serve, take a
 dense solve.
@@ -62,7 +62,6 @@ class ModalSolution:
     eigenvalues: np.ndarray            # (k,) rad^2/s^2
     modes: np.ndarray = field(repr=False)  # (n, k)
     residuals: np.ndarray = field(repr=False)
-    system: str = ""
 
     @property
     def count(self) -> int:
@@ -88,7 +87,7 @@ def _as_csr(A):
     return sparse.csr_matrix(np.atleast_2d(np.asarray(A)))
 
 
-def _solution(K, M, vals, vecs, system: str) -> ModalSolution:
+def _solution(K, M, vals, vecs) -> ModalSolution:
     """Eigenvectors in ascending order of their Ritz values ``vals``,
     M-normalized with the largest entry real positive, their Rayleigh
     quotients v^H K v, more accurate than the Ritz values, and residuals.
@@ -109,7 +108,7 @@ def _solution(K, M, vals, vecs, system: str) -> ModalSolution:
         lam = lams[j] = np.real(np.vdot(v, Kv))
         denom = np.linalg.norm(Kv) + abs(lam) * np.linalg.norm(Mv) + 1e-300
         res[j] = np.linalg.norm(Kv - lam * Mv) / denom
-    return ModalSolution(lams, vecs, res, system)
+    return ModalSolution(lams, vecs, res)
 
 
 def _splu(A):
@@ -157,16 +156,15 @@ def shift_invert(K, M, shift: float = 0.0) -> ShiftInvert:
     return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype))
 
 
-def solve_smallest(K, M, count: int, shift: float = 0.0,
-                   system: str = "", factor: ShiftInvert | None = None) -> ModalSolution:
+def solve_smallest(K, M, count: int, factor: ShiftInvert | None = None) -> ModalSolution:
     """The ``count`` algebraically smallest eigenpairs of the pencil (K, M).
 
     K must be real symmetric or complex Hermitian positive semidefinite
     (singular is fine: rigid modes are returned, not avoided), M likewise
-    positive definite. ``shift`` is the shift-invert point (see
-    ``shift_invert``); any value below the smallest eigenvalue gives the
-    same answer, only convergence speed differs. ``factor``, when given, is
-    a factorization of this pencil and ``shift`` is ignored.
+    positive definite. ``factor`` is a shift-invert factorization of this
+    pencil (see ``shift_invert``), made at zero shift when not given; any
+    shift below the smallest eigenvalue gives the same answer, only
+    convergence speed differs.
     """
     K, M = _as_csr(K), _as_csr(M)
     n = K.shape[0]
@@ -177,10 +175,10 @@ def solve_smallest(K, M, count: int, shift: float = 0.0,
 
     if count >= n - 1:   # beyond what ARPACK can return
         vals, vecs = dla.eigh(K.toarray(), M.toarray())
-        return _solution(K, M, vals[:count], vecs[:, :count], system)
+        return _solution(K, M, vals[:count], vecs[:, :count])
 
     if factor is None:
-        factor = shift_invert(K, M, shift)
+        factor = shift_invert(K, M)
     rng = np.random.default_rng(_V0_SEED)
     v0 = rng.standard_normal(n)
     if np.iscomplexobj(K) or np.iscomplexobj(M):
@@ -190,8 +188,7 @@ def solve_smallest(K, M, count: int, shift: float = 0.0,
                                 OPinv=factor.operator, which="LM", v0=v0)
     except spla.ArpackNoConvergence as err:
         raise SolverFailureError(
-            f"eigensolver did not converge ({len(err.eigenvalues)}/{count} modes)",
-            residuals=err.eigenvalues) from err
+            f"eigensolver did not converge ({len(err.eigenvalues)}/{count} modes)") from err
     except (RuntimeError, ValueError, ArithmeticError) as err:
         raise SolverFailureError(f"shift-invert eigensolve failed: {err}") from err
     finally:
@@ -201,11 +198,10 @@ def solve_smallest(K, M, count: int, shift: float = 0.0,
             # reference cycle; free it now, not when the collector next
             # runs, so solves in a loop do not pile up their factorizations
             gc.collect(1)
-    return _solution(K, M, vals, vecs, system)
+    return _solution(K, M, vals, vecs)
 
 
-def solve_relevant(K, M, count: int, relevant, shift: float = 0.0,
-                   system: str = ""):
+def solve_relevant(K, M, count: int, relevant, shift: float = 0.0):
     """(sol, relevant(sol)), doubling ``count`` up to min(_COUNT_CAP, n) while
     ``relevant`` raises NoRelevantModeError (re-raised at the cap).
 
@@ -218,7 +214,7 @@ def solve_relevant(K, M, count: int, relevant, shift: float = 0.0,
     while True:
         if factor is None and count < n - 1:
             factor = shift_invert(K, M, shift)
-        sol = solve_smallest(K, M, count, system=system, factor=factor)
+        sol = solve_smallest(K, M, count, factor=factor)
         try:
             return sol, relevant(sol)
         except NoRelevantModeError:

@@ -204,8 +204,7 @@ def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool
         return modal.filter_relevant_unrestricted(
             sol, mean, 1.0 / math.sqrt(rho_bar * volume), delta_tol)
 
-    return modal.solve_relevant(Kr, Mr, count, relevant, shift=shift,
-                                system="restricted" if restricted else "unrestricted")
+    return modal.solve_relevant(Kr, Mr, count, relevant, shift=shift)
 
 
 def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import linalg, sparse
+from scipy import linalg
 from scipy.sparse.linalg import splu
 
 from lramkit import dispersion, fem, homogenize, modal
 from lramkit.errors import SolverFailureError
 from lramkit.grid import build_grid
 from lramkit.materials import uniform_fields
+
+from oracles import master_slave_map
+from test_fem import _map_grid, _random_matrices
 
 
 @pytest.fixture(scope="module")
@@ -80,23 +83,6 @@ class TestEffectiveDispersion:
         assert len(lines) == 3
 
 
-def _bloch_transform_reference(grid, kappa):
-    """Node-by-node master-slave map, the reference for the fixed pattern."""
-    nx, ny = grid.nx, grid.ny
-    phase = np.exp(1j * kappa * grid.width)
-    rows, cols, vals = [], [], []
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            node = grid.node_id(i, j)
-            master = (j % ny) * nx + i % nx
-            for d in range(2):
-                rows.append(2 * node + d)
-                cols.append(2 * master + d)
-                vals.append(phase if i == nx else 1.0)
-    return sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(grid.ndof, 2 * nx * ny)).tocsr()
-
-
 class TestBlochOracle:
     @pytest.mark.parametrize("nx, ny", [(7, 4), (3, 5), (2, 2)])
     def test_x_fraction_matches_reference(self, epoxy, steel, nx, ny, monkeypatch):
@@ -117,7 +103,7 @@ class TestBlochOracle:
         kappas = np.array([0.0, 0.3 * math.pi / 0.01, -math.pi / 0.01, 2.5])
         res = dispersion.bloch_oracle(g, fields, kappas, n_branches=3)
         for kap, sol, x_fraction in zip(kappas, sols, res.x_fraction):
-            full = _bloch_transform_reference(g, kap) @ sol.modes
+            full = master_slave_map(g, "periodic", kappa=kap) @ sol.modes
             ref = (np.abs(full[0::2]) ** 2).sum(axis=0) / (np.abs(full) ** 2).sum(axis=0)
             np.testing.assert_allclose(x_fraction, ref, rtol=1e-14, atol=1e-15)
 
@@ -226,21 +212,45 @@ def _asymmetric_cell(nx, ny, epoxy, steel):
 _SPLIT_KAPPAS = (0.0, 0.3 * math.pi / 0.01, -math.pi / 0.01, 2.5)
 
 
+def _oracle_pencil(g, fields, kappa):
+    """(T^H K T, T^H M T) through the node-by-node Bloch map T."""
+    M, K = fem.assemble(g, fields)
+    T = master_slave_map(g, "periodic", kappa=kappa)
+    return tuple((T.conj().T @ (A @ T)).tocsr() for A in (K, M))
+
+
+@pytest.mark.parametrize("grid_name", ["7x4", "3x5", "7x4-reversed"])
+@pytest.mark.parametrize("kL", [0.0, 0.3 * np.pi, -np.pi])
+def test_bloch_pencil_is_the_phased_product(epoxy, grid_name, kL):
+    """The pencil built from the two real parts equals T^H A T through the
+    node-by-node Bloch map, for M (whose pattern stores the zero x-y
+    couplings), K and C."""
+    g = _map_grid(grid_name)
+    ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC)
+    P0, P1 = dispersion._split_rows(ops)
+    kappa = kL / g.width
+    T = master_slave_map(g, "periodic", kappa=kappa)
+    for A in _random_matrices(g, epoxy):
+        red = dispersion._pencil_at(dispersion._bloch_parts(A, P0, P1),
+                                    np.exp(1j * kappa * g.width))
+        ref = (T.conj().T @ (A @ T)).tocsr()
+        assert red.dtype == complex and red.nnz == ref.nnz
+        assert abs(red - ref).max() <= 1e-15 * abs(ref).max()
+
+
 class TestBlochCondensation:
     @pytest.mark.parametrize("nx, ny", [(7, 4), (3, 5), (2, 2)])
     def test_apply_matches_full_factorization(self, epoxy, steel, nx, ny):
         g, fields = _asymmetric_cell(nx, ny, epoxy, steel)
-        M, K = fem.assemble(g, fields)
-        ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC)
-        condensation = dispersion._Condensation(K, M, ops)
-        assert len(condensation.border) == 2 * ny
+        cell = dispersion._BlochCell(g, fields)
+        assert len(cell.border) == 2 * ny
         rng = np.random.default_rng(3)
         for kap in _SPLIT_KAPPAS:
-            phase = np.exp(1j * kap * g.width)
-            Kb, Mb = dispersion._bloch_pencil(K, M, ops, phase)
-            factor = condensation.shift_invert(Kb, Mb, phase, kap)
+            Kb, Mb = _oracle_pencil(g, fields, kap)
+            factor = cell.shift_invert(np.exp(1j * kap * g.width), kap)
             assert factor.sigma == dispersion._BLOCH_SHIFT
-            b = rng.standard_normal(ops.nfree) + 1j * rng.standard_normal(ops.nfree)
+            n = Kb.shape[0]
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             ref = splu((Kb - factor.sigma * Mb).tocsc()).solve(b)
             x = factor.operator.matvec(b)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -249,10 +259,8 @@ class TestBlochCondensation:
     def test_branches_match_dense_eigh(self, epoxy, steel, nx, ny):
         g, fields = _asymmetric_cell(nx, ny, epoxy, steel)
         res = dispersion.bloch_oracle(g, fields, np.array(_SPLIT_KAPPAS), n_branches=3)
-        M, K = fem.assemble(g, fields)
-        ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC)
         for kap, freqs in zip(_SPLIT_KAPPAS, res.frequencies_hz):
-            Kb, Mb = dispersion._bloch_pencil(K, M, ops, np.exp(1j * kap * g.width))
+            Kb, Mb = _oracle_pencil(g, fields, kap)
             lam = linalg.eigh(Kb.toarray(), Mb.toarray(), eigvals_only=True)[:3]
             ref = np.sqrt(np.clip(lam, 0.0, None)) / (2 * math.pi)
             elastic = ref > 1.0
@@ -310,3 +318,24 @@ class TestBlochCondensation:
         elastic = np.concatenate([res.residuals[0, 2:], res.residuals[1]])
         assert res.worst_elastic_residual() == elastic.max()
         assert res.worst_elastic_residual() <= 1e-8
+
+
+class TestBlochBandGap:
+    @staticmethod
+    def _result(x_tie):
+        """Two wavenumbers; the 900 Hz branch has x fraction ``x_tie``."""
+        return dispersion.BlochResult(
+            kappas=np.array([0.0, 1.0]),
+            frequencies_hz=np.array([[100.0, 900.0, 1500.0], [200.0, 1100.0, 2000.0]]),
+            x_fraction=np.array([[1.0, x_tie, 0.0], [1.0, 0.0, 1.0]]),
+            residuals=np.zeros((2, 3)))
+
+    def test_roundoff_tie_counts_as_longitudinal(self):
+        """A branch whose x and y energies are equal by symmetry reads 0.5
+        only to roundoff; it is longitudinal, and here it brackets the gap."""
+        res = self._result(0.5 - 1e-14)
+        assert dispersion.bloch_band_gap(res, 800.0, 1600.0) == (900.0, 2000.0)
+
+    def test_branch_below_threshold_is_transverse(self):
+        res = self._result(0.5 - 1e-6)
+        assert dispersion.bloch_band_gap(res, 800.0, 1600.0) == (200.0, 2000.0)

@@ -318,18 +318,6 @@ class TestMasterSlaveMap:
             np.testing.assert_array_equal(red.data[skip:], ref.data[skip:])
             assert red.data[0] == pytest.approx(ref.data[0], rel=1e-14)
 
-    @pytest.mark.parametrize("kL", [0.0, 0.3 * np.pi, -np.pi])
-    def test_bloch_reduce_is_the_phased_product(self, epoxy, grid_name, kL):
-        g = _map_grid(grid_name)
-        ops = fem.build_constraints(g, BC.PERIODIC)
-        kappa = kL / g.width
-        T = master_slave_map(g, "periodic", kappa=kappa)
-        for A in _random_matrices(g, epoxy):
-            red = fem.reduce(A, ops, np.exp(1j * kappa * g.width))
-            ref = (T.conj().T @ (A @ T)).tocsr()
-            assert red.dtype == complex and red.nnz == ref.nnz
-            assert abs(red - ref).max() <= 1e-15 * abs(ref).max()
-
     def test_reduce_rejects_matrix_off_the_pattern(self, epoxy, grid_name):
         g = _map_grid(grid_name)
         ops = fem.build_constraints(g, BC.PERIODIC_PINNED)
