@@ -15,11 +15,13 @@ requests for (nearly) all eigenpairs, which ARPACK cannot serve, take a
 dense solve.
 
 Precondition: the shift lies below the pencil's spectrum, so K - sigma M is
-positive definite. The factorization relies on it: it uses a symmetric
-minimum-degree ordering and takes its pivots from the diagonal without
-searching. The optimizer shifts by 0 (restricted) and by a negative value
-(free), homogenization by 0 with the corners pinned, the Bloch solves by
--(2 pi 300 Hz)^2.
+positive definite. The factorization relies on it: it orders by minimum
+degree on the pattern of A + A^T, which for these structurally symmetric
+pencils is A's own, and takes its pivots from the diagonal without
+searching. (An ordering on A^T A would square the free pencil's dense
+frame-translation row into a dense block.) The optimizer shifts by 0
+(restricted) and by a negative value (free), homogenization by 0 with the
+corners pinned, the Bloch solves by -(2 pi 300 Hz)^2.
 
 ``count_below`` is the only factorization of an indefinite pencil: it
 factors K - sigma M the same way at a sigma inside the spectrum, not to
@@ -112,11 +114,17 @@ def _solution(K, M, vals, vecs) -> ModalSolution:
 
 
 def _splu(A):
-    """Sparse LU of the csr matrix A with a symmetric ordering and pivots
-    taken from the diagonal without searching."""
+    """Sparse LU of the csr matrix A, ordered by minimum degree on the pattern
+    of A + A^T, with pivots taken from the diagonal without searching.
+
+    A + A^T is A's own pattern for these structurally symmetric pencils. An
+    ordering on A^T A would square it instead: the free pencil's frame
+    translation row, coupled to every frame-adjacent node, would become a
+    dense block and more than double that pencil's fill.
+    """
     # a real symmetric csr matrix is its own transpose, which is csc
     A = A.tocsc() if np.iscomplexobj(A) else A.T
-    return spla.splu(A, permc_spec="MMD_ATA", diag_pivot_thresh=0.0,
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
 

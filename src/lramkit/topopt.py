@@ -26,7 +26,9 @@ from .errors import FeasibilityError, NoRelevantModeError, SolverFailureError
 from .grid import StructuredGrid
 from .materials import deviatoric_voigt, interpolate, volumetric_voigt
 
-MODAL_COUNT = 2            # modes per reduced solve before relevance-driven growth
+# elastic modes per reduced solve before relevance-driven growth; the free
+# solve asks for one more, its rigid translation (mode 0)
+MODAL_COUNT = 2
 SCAN_UP = 8                # step-scale doublings probed per direction
 SCAN_DOWN = 12             # step-scale halvings probed per direction
 NODE_FLIP_BUDGET = 12      # single-node trials once the field steps find no descent
@@ -188,12 +190,12 @@ def constraint_maps(layout: rve.CellLayout):
                             fem.BoundaryCondition.FREE))
 
 
-def _solve_relevant(K, M, ops, volume, count, delta_tol, shift, restricted: bool):
+def _solve_relevant(K, M, ops, volume, rho_bar, count, delta_tol, shift,
+                    restricted: bool):
     """Smallest modes of the reduced pencil plus relevance indices."""
     P = ops.P
     Kr = fem.reduce(K, ops)
     Mr = fem.reduce(M, ops)
-    rho_bar = modal.average_density(M, ops.I_rigid, volume)
 
     def relevant(sol):
         if restricted:
@@ -214,11 +216,13 @@ def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet
     fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
     M, K = fem.assemble(grid, fields, validate=False)
     volume = grid.area
+    # both maps share I_rigid: it depends on the grid alone
+    rho_bar = modal.average_density(M, ops_restricted.I_rigid, volume)
 
     shift_free = -(2.0 * math.pi * max(settings.target_f_hz / 10.0, 10.0)) ** 2
-    sol_r, rel_r = _solve_relevant(K, M, ops_restricted, volume, MODAL_COUNT,
+    sol_r, rel_r = _solve_relevant(K, M, ops_restricted, volume, rho_bar, MODAL_COUNT,
                                    settings.delta_tol, shift=0.0, restricted=True)
-    sol_u, rel_u = _solve_relevant(K, M, ops_free, volume, MODAL_COUNT,
+    sol_u, rel_u = _solve_relevant(K, M, ops_free, volume, rho_bar, MODAL_COUNT + 1,
                                    settings.delta_tol, shift=shift_free, restricted=False)
 
     lam_s = float(sol_r.eigenvalues[rel_r[0]])

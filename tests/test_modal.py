@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import linalg, sparse
 
-from lramkit import fem, modal
+from lramkit import dispersion, fem, homogenize, modal, rve, topopt
 from lramkit.errors import NoRelevantModeError, SolverFailureError
 from lramkit.grid import build_grid
 from lramkit.materials import uniform_fields
@@ -180,6 +180,57 @@ class TestCountBelow:
         K = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SolverFailureError, match="diagonal"):
             modal.count_below(K, np.eye(2), 0.0)
+
+
+class TestOrdering:
+    """The minimum-degree ordering on A + A^T, on the pencils of a 3 mm
+    steel disk at 20x20."""
+
+    @staticmethod
+    def _factors(monkeypatch, run):
+        """The LUs that ``run()`` makes through ``modal._splu``, in order."""
+        factors = []
+        splu = modal._splu
+
+        def keeping(A):
+            factors.append(splu(A))
+            return factors[-1]
+
+        monkeypatch.setattr(modal, "_splu", keeping)
+        run()
+        monkeypatch.undo()
+        return factors
+
+    def _optimizer_factors(self, steel_disk, monkeypatch):
+        layout, phases, chi, st = steel_disk
+        ops = topopt.constraint_maps(layout)
+        factors = self._factors(
+            monkeypatch, lambda: topopt.analyze_design(layout, chi, phases, st, *ops))
+        assert [lu.shape[0] for lu in factors] == [289, 290]    # restricted, free
+        return factors
+
+    def test_free_fill_near_restricted(self, steel_disk, monkeypatch):
+        """The free pencil is the restricted one plus one border dof, the
+        frame translation coupled to every frame-adjacent node. Ordered on
+        A^T A, that dense row doubles the fill."""
+        restricted, free = (lu.L.nnz + lu.U.nnz
+                            for lu in self._optimizer_factors(steel_disk, monkeypatch))
+        assert free <= 1.25 * restricted
+
+    def test_pivots_stay_on_the_diagonal(self, steel_disk, epoxy, steel, rubber, monkeypatch):
+        """Every factorization of the optimizer, the homogenization (the
+        indefinite inertia count at the mode ceiling, then zero shift) and
+        the Bloch oracle (its interior A_II)."""
+        layout, _, chi, _ = steel_disk
+        g = layout.grid
+        fields = rve.material_fields(layout, chi, rve.PhaseSet(epoxy, steel, rubber),
+                                     include_viscosity=False)
+        cell = self._factors(monkeypatch, lambda: homogenize.cell_modes(g, fields))
+        bloch = self._factors(monkeypatch, lambda: dispersion._BlochCell(g, fields))
+        assert (len(cell), len(bloch)) == (2, 1)
+        assert np.count_nonzero(cell[0].U.diagonal() < 0.0) > 0   # indefinite
+        for lu in self._optimizer_factors(steel_disk, monkeypatch) + cell + bloch:
+            np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
 
 
 class TestRestrictedRelevance:

@@ -299,11 +299,11 @@ class TestOptimizerPencils:
         moved = ana2.lambda_star1 / ana.lambda_star1 - 1.0
         assert abs(moved - predicted) <= 1e-10
 
-    def test_free_mode_zero_is_the_translation(self, epoxy, steel, rubber):
+    def test_free_mode_zero_is_the_translation(self, steel_disk):
         """The unrestricted filter skips mode 0 by position; here it is the
         x-translation, and the kept modes are those of the M-projection rule
         that the position rule replaced (kept below as the reference)."""
-        layout, phases, chi, st = _steel_disk(epoxy, steel, rubber)
+        layout, phases, chi, st = steel_disk
         g = layout.grid
         ops_r, ops_u = topopt.constraint_maps(layout)
         ana = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
@@ -333,15 +333,15 @@ class TestOptimizerPencils:
         assert ops_u.P[frame_dofs].indices.max() == 0
         assert ops_r.P[frame_dofs].nnz == 0
 
-    def test_free_solve_accurate(self, epoxy, steel, rubber):
+    def test_free_solve_accurate(self, steel_disk):
         """With the frame rigid by constraint, the free pencil's elastic modes
         meet the same residual bound as the restricted ones."""
-        layout, phases, chi, st = _steel_disk(epoxy, steel, rubber)
+        layout, phases, chi, st = steel_disk
         ana = topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
         assert ana.unrestricted.residuals[1:].max() <= 1e-8
 
-    def test_eigenvalues_are_rayleigh_quotients(self, epoxy, steel, rubber):
-        layout, phases, chi, _ = _steel_disk(epoxy, steel, rubber)
+    def test_eigenvalues_are_rayleigh_quotients(self, steel_disk):
+        layout, phases, chi, _ = steel_disk
         ops_r, _ = topopt.constraint_maps(layout)
         fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
         M, K = fem.assemble(layout.grid, fields, validate=False)
@@ -350,12 +350,18 @@ class TestOptimizerPencils:
         quotients = np.einsum("ij,ij->j", sol.modes, Kr @ sol.modes)
         np.testing.assert_allclose(sol.eigenvalues, quotients, rtol=1e-13, atol=0.0)
 
+    def test_each_pencil_solved_once(self, steel_disk, monkeypatch):
+        """The free request counts its translation, so neither pencil needs
+        a regrown solve for its first relevant mode."""
+        layout, phases, chi, st = steel_disk
+        counts = []
+        solve = modal.solve_smallest
 
-def _steel_disk(epoxy, steel, rubber):
-    """(layout, phases, chi, settings) of the optimizer on a 3 mm steel disk at 20x20."""
-    g = build_grid(20, 20, 0.01)
-    layout = rve.build_layout(g, 0.05)
-    xy = g.coords - g.centroid
-    chi = rve.chi_at_gauss(layout, 0.003 - np.hypot(xy[:, 0], xy[:, 1]))
-    return (layout, rve.scaled_phases(epoxy, steel, rubber), chi,
-            topopt.OptimizerSettings(target_f_hz=1000.0, alpha=0.5))
+        def counting(K, M, count, *args, **kwargs):
+            counts.append(count)
+            return solve(K, M, count, *args, **kwargs)
+
+        monkeypatch.setattr(modal, "solve_smallest", counting)
+        ana = topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        assert counts == [topopt.MODAL_COUNT, topopt.MODAL_COUNT + 1]
+        assert ana.unrestricted.count >= topopt.MODAL_COUNT + 1
