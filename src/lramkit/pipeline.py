@@ -111,6 +111,9 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                     snap_paths.append(p)
 
             res = topopt.optimize(layout, phases, settings, observer=observer)
+            log(f"optimizer: {res.analyses} design analyses, {res.free_solves} "
+                f"free-pencil solves; worst elastic eigen residual "
+                f"{res.analysis.worst_elastic_residual():.3g}")
             last_it = res.history[-1].iteration
             last_snap = out / f"phi_iter_{last_it:06d}.txt"
             if last_snap not in snap_paths:

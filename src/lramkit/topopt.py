@@ -9,6 +9,14 @@ cost. The discrete march is a strict descent, like the continuous flow it
 follows: an iteration moves to a probed candidate only when that lowers
 the cost, and the march stops at the first iteration where none does.
 
+Only the gap term needs the unrestricted system. A probe skips that solve
+when the fit share alpha f^2 of its restricted solve already reaches the
+cost it has to beat. The prune is exact: in round-to-nearest
+fl(a + b) >= a for b >= 0, so the probe's cost would reach that cost too,
+and the march would not keep it either. At alpha = 1 the cost is f^2
+alone, so only new bests solve the unrestricted system; below 1 the gap
+term usually dominates and the prune rarely fires.
+
 Both reduced systems prescribe every vertical dof (the panel carries
 horizontally polarized waves) and hold the frame rigid by constraint, and
 the coating is made quasi-massless through the configured density scaling,
@@ -72,6 +80,19 @@ class CostBreakdown:
     lambda1: float
 
 
+def fit_term(lambda_star1: float, lambda_target: float) -> float:
+    """Frequency-fitting term f = (ln lambda*_1 - ln lambda_t) / (ln lambda*_1 + ln lambda_t).
+
+    Both squared frequencies must exceed 1 rad^2/s^2 so the logarithms stay
+    positive and |f| < 1.
+    """
+    if min(lambda_star1, lambda_target) <= 1.0:
+        raise ValueError("squared frequencies must exceed 1 rad^2/s^2")
+    ls = math.log(lambda_star1)
+    lt = math.log(lambda_target)
+    return (ls - lt) / (ls + lt)
+
+
 def evaluate_cost(lambda_star1: float, lambda1: float, lambda_target: float,
                   alpha: float) -> CostBreakdown:
     """Log-ratio frequency-fitting and bandgap terms.
@@ -81,13 +102,11 @@ def evaluate_cost(lambda_star1: float, lambda1: float, lambda_target: float,
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if min(lambda_star1, lambda1, lambda_target) <= 1.0:
+    if lambda1 <= 1.0:
         raise ValueError("squared frequencies must exceed 1 rad^2/s^2")
-    ls = math.log(lambda_star1)
-    lt = math.log(lambda_target)
-    lu = math.log(lambda1)
-    f = (ls - lt) / (ls + lt)
-    g = ls / lu
+    f = fit_term(lambda_star1, lambda_target)
+    g = math.log(lambda_star1) / math.log(lambda1)
+    # the fit share alpha * f * f is spelled as in analyze_design's bound
     Pi = alpha * f * f + (1.0 - alpha) * g * g
     return CostBreakdown(Pi=Pi, f=f, g=g, alpha=alpha, lambda_target=lambda_target,
                          lambda_star1=lambda_star1, lambda1=lambda1)
@@ -141,6 +160,13 @@ class DesignAnalysis:
     def lambda1(self) -> float:
         return self.cost.lambda1
 
+    def worst_elastic_residual(self) -> float:
+        """Largest eigen residual over both solves' elastic modes. Mode 0 of
+        the free solve is the rigid translation, left out by position: its
+        eigenvalue is roundoff, so its residual is not small by nature."""
+        return float(max(self.restricted.residuals.max(initial=0.0),
+                         self.unrestricted.residuals[1:].max(initial=0.0)))
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
@@ -168,6 +194,8 @@ class OptimizeResult:
     converged: bool
     stagnated: bool
     instability_warning: bool
+    analyses: int      # analyze_design calls, the initial design's included
+    free_solves: int   # analyses that solved the free pencil and returned a design
 
     @property
     def history(self) -> list[HistoryRow]:
@@ -210,8 +238,14 @@ def _solve_relevant(K, M, ops, volume, rho_bar, count, delta_tol, shift,
 
 
 def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,
-                   settings: OptimizerSettings, ops_restricted, ops_free) -> DesignAnalysis:
-    """Assemble and solve both reduced modal problems for one design."""
+                   settings: OptimizerSettings, ops_restricted, ops_free,
+                   bound: float = math.inf) -> DesignAnalysis | None:
+    """Assemble and solve both reduced modal problems for one design.
+
+    Returns None, without reducing or solving the free pencil, when the fit
+    share alpha f^2 of the restricted solve alone reaches ``bound``: the
+    cost Pi = alpha f^2 + (1 - alpha) g^2 cannot then fall below it.
+    """
     grid = layout.grid
     fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
     M, K = fem.assemble(grid, fields, validate=False)
@@ -219,13 +253,16 @@ def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet
     # both maps share I_rigid: it depends on the grid alone
     rho_bar = modal.average_density(M, ops_restricted.I_rigid, volume)
 
-    shift_free = -(2.0 * math.pi * max(settings.target_f_hz / 10.0, 10.0)) ** 2
     sol_r, rel_r = _solve_relevant(K, M, ops_restricted, volume, rho_bar, MODAL_COUNT,
                                    settings.delta_tol, shift=0.0, restricted=True)
+    lam_s = float(sol_r.eigenvalues[rel_r[0]])
+    f = fit_term(lam_s, settings.lambda_target)
+    if settings.alpha * f * f >= bound:
+        return None
+
+    shift_free = -(2.0 * math.pi * max(settings.target_f_hz / 10.0, 10.0)) ** 2
     sol_u, rel_u = _solve_relevant(K, M, ops_free, volume, rho_bar, MODAL_COUNT + 1,
                                    settings.delta_tol, shift=shift_free, restricted=False)
-
-    lam_s = float(sol_r.eigenvalues[rel_r[0]])
     lam_u = float(sol_u.eigenvalues[rel_u[0]])
     cost = evaluate_cost(lam_s, lam_u, settings.lambda_target, settings.alpha)
     mode_star = np.asarray(ops_restricted.P @ sol_r.modes[:, rel_r[0]]).ravel()
@@ -338,6 +375,14 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
     step scale unchanged, so every later one would repeat it. The
     returned design is therefore always the lowest-cost one of the run.
 
+    Each probe is analysed with the cost to beat (the iteration's best so
+    far, else the current design's) as its bound, so a probe whose fit
+    share alpha f^2 reaches it skips the free pencil. No decision changes,
+    since that probe's cost reaches the bound too (see the module
+    docstring). At alpha = 1 only new bests solve the free pencil; at
+    alpha < 1 the prune rarely fires. ``analyses`` and ``free_solves`` of
+    the result count both.
+
     The march runs with one BLAS thread per library: its thousands of small
     sparse solves and ARPACK steps gain nothing from a second BLAS thread,
     and the idle pools' spinning workers slow every layer.
@@ -363,7 +408,8 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
     if current.cost.Pi <= settings.stop_tol:
         return OptimizeResult(state=state, analysis=current, settings=settings,
                               phases=phases, c1=settings.c1 or 0.0, converged=True,
-                              stagnated=False, instability_warning=False)
+                              stagnated=False, instability_warning=False,
+                              analyses=1, free_solves=1)
 
     vtd = sensitivity_field(layout, current, phases, settings)
     c1 = settings.c1
@@ -380,21 +426,29 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
 
     seen: set[bytes] = set()   # designs analysed in this iteration, the current one included
     best = None                # this iteration's lowest-cost descent: (analysis, phi, step scale)
+    analyses = free_solves = 1   # the initial design's
 
     def probe(phi_t, scale):
-        """Analyse the design of phi_t and keep it in ``best`` if it costs
-        less than the current design and every earlier probe."""
-        nonlocal best
+        """Analyse the design of phi_t, bounded by the cost to beat, and keep
+        it in ``best`` if it costs less than the current design and every
+        earlier probe."""
+        nonlocal best, analyses, free_solves
         chi_t = rve.chi_at_gauss(layout, phi_t)
         key = chi_t.tobytes()
         if key in seen:
             return
         seen.add(key)
+        bound = (current if best is None else best[0]).cost.Pi
+        analyses += 1
         try:
-            cand = analyze_design(layout, chi_t, phases, settings, ops_r, ops_u)
+            cand = analyze_design(layout, chi_t, phases, settings, ops_r, ops_u,
+                                  bound=bound)
         except (NoRelevantModeError, SolverFailureError, ValueError):
             return   # degenerate candidate (no resonator left, solver trouble)
-        if cand.cost.Pi < (current if best is None else best[0]).cost.Pi:
+        if cand is None:
+            return
+        free_solves += 1
+        if cand.cost.Pi < bound:
             best = (cand, phi_t, scale)
 
     for it in range(1, settings.max_iters + 1):
@@ -446,4 +500,5 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
                       for (i1, s1) in jumps for (i2, s2) in jumps)
     return OptimizeResult(state=state, analysis=current, settings=settings,
                           phases=phases, c1=c1, converged=converged,
-                          stagnated=stagnated, instability_warning=instability)
+                          stagnated=stagnated, instability_warning=instability,
+                          analyses=analyses, free_solves=free_solves)

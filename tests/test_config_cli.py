@@ -430,6 +430,19 @@ class TestPipelineRun:
         assert 0.0 < worst <= 1e-8
         assert line.endswith("over 3 wavenumbers")
 
+    def test_optimizer_counts_logged(self, tmp_path):
+        lines = []
+        cfg = load_config(_gated_config(tmp_path))
+        cfg.stages = ("optimize",)
+        cfg.alpha, cfg.max_iters = 1.0, 2
+        assert pipeline.run(cfg, log=lines.append).exit_code == 0
+        (line,) = [ln for ln in lines if ln.startswith("optimizer:")]
+        analyses, solves = (int(line.split(word)[0].split()[-1])
+                            for word in (" design analyses", " free-pencil solves"))
+        assert 1 <= solves < analyses
+        worst = float(line.split("residual ")[1])
+        assert 0.0 < worst <= 1e-8
+
     def test_ceiling_below_first_resonance_keeps_no_mode(self, tmp_path, monkeypatch):
         cfg = load_config(_gated_config(tmp_path))
         cfg.band_top_hz = 1.0    # below every resonance of the cell

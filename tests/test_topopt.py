@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,19 @@ class TestCost:
     def test_small_lambda_rejected(self):
         with pytest.raises(ValueError):
             topopt.evaluate_cost(0.5, 1e7, 1e6, alpha=1.0)
+        with pytest.raises(ValueError):
+            topopt.evaluate_cost(1e6, 0.5, 1e6, alpha=1.0)
+        with pytest.raises(ValueError):
+            topopt.fit_term(1e6, 0.5)
+
+    def test_fit_term_is_the_cost_f(self):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            lam_t, lam_s = 10 ** rng.uniform(4, 10, size=2)
+            c = topopt.evaluate_cost(lam_s, 10.0 * lam_s, lam_t, rng.uniform(0, 1))
+            f = topopt.fit_term(lam_s, lam_t)
+            assert f == c.f
+            assert c.alpha * f * f <= c.Pi
 
 
 @pytest.fixture()
@@ -365,3 +379,116 @@ class TestOptimizerPencils:
         ana = topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
         assert counts == [topopt.MODAL_COUNT, topopt.MODAL_COUNT + 1]
         assert ana.unrestricted.count >= topopt.MODAL_COUNT + 1
+
+
+def _assert_same_analysis(a, b):
+    """Bitwise equality of two design analyses."""
+    assert a.cost == b.cost
+    for name in ("chi", "relevant_restricted", "relevant_unrestricted",
+                 "mode_star", "mode_free"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for sa, sb in ((a.restricted, b.restricted), (a.unrestricted, b.unrestricted)):
+        for name in ("eigenvalues", "modes", "residuals"):
+            assert getattr(sa, name).tobytes() == getattr(sb, name).tobytes(), name
+
+
+# (target Hz, alpha) of the 20x20 runs below: 42 iterations and 662 analyses
+# at alpha = 1; 4 iterations and 81 analyses at alpha = 0.5
+_PRUNE_RUNS = ((1100.0, 1.0), (1000.0, 0.5))
+
+
+@pytest.fixture(scope="module")
+def pruned_runs(materials):
+    """{(target, alpha): (result, counts)} of 20x20 optimizer runs, with the
+    factorizations counted by pencil size and the analyses by outcome."""
+    layout = rve.build_layout(build_grid(20, 20, 0.01))
+    phases = rve.scaled_phases(materials["epoxy"], materials["steel"],
+                               materials["silicone_rubber"])
+    n_r, n_u = (ops.nfree for ops in topopt.constraint_maps(layout))
+    runs = {}
+    for target, alpha in _PRUNE_RUNS:
+        counts = {"restricted": 0, "free": 0, "analyses": 0, "designs": 0}
+        shift_invert, analyze = modal.shift_invert, topopt.analyze_design
+
+        def counting_factor(K, M, *args, **kwargs):
+            counts[{n_r: "restricted", n_u: "free"}[K.shape[0]]] += 1
+            return shift_invert(K, M, *args, **kwargs)
+
+        def counting_analysis(*args, **kwargs):
+            counts["analyses"] += 1
+            ana = analyze(*args, **kwargs)
+            counts["designs"] += ana is not None
+            return ana
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modal, "shift_invert", counting_factor)
+            mp.setattr(topopt, "analyze_design", counting_analysis)
+            st = topopt.OptimizerSettings(target_f_hz=target, alpha=alpha)
+            runs[target, alpha] = (topopt.optimize(layout, phases, st), counts)
+    return layout, phases, runs
+
+
+class TestFreeSolvePrune:
+    """A probe whose fit share alpha f^2 already reaches the cost to beat
+    skips the free pencil; the march must not notice."""
+
+    @pytest.mark.parametrize("target, alpha", _PRUNE_RUNS)
+    def test_prune_is_exact(self, pruned_runs, monkeypatch, target, alpha):
+        layout, phases, runs = pruned_runs
+        pruned, _ = runs[target, alpha]
+        analyze = topopt.analyze_design
+
+        def unbounded(*args, bound=math.inf, **kwargs):
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(topopt, "analyze_design", unbounded)
+        st = topopt.OptimizerSettings(target_f_hz=target, alpha=alpha)
+        reference = topopt.optimize(layout, phases, st)
+
+        assert pruned.state.phi.tobytes() == reference.state.phi.tobytes()
+        assert pruned.state.iteration == reference.state.iteration
+        rows = np.array([astuple(r) for r in pruned.history])
+        assert rows.tobytes() == np.array([astuple(r) for r in reference.history]).tobytes()
+        _assert_same_analysis(pruned.analysis, reference.analysis)
+        assert (pruned.c1, pruned.converged, pruned.stagnated) == \
+            (reference.c1, reference.converged, reference.stagnated)
+        assert pruned.analyses == reference.analyses
+        assert reference.free_solves == reference.analyses
+
+    def test_alpha_one_prunes_most_free_solves(self, pruned_runs):
+        _, _, runs = pruned_runs
+        res, counts = runs[1100.0, 1.0]
+        assert counts["analyses"] == counts["restricted"] == res.analyses
+        assert counts["free"] == counts["designs"] == res.free_solves
+        assert 5 * counts["free"] <= res.analyses
+
+    def test_alpha_half_solves_both_pencils(self, pruned_runs):
+        _, _, runs = pruned_runs
+        res, counts = runs[1000.0, 0.5]
+        assert counts["analyses"] == res.analyses == res.free_solves
+        assert counts["restricted"] == counts["free"] == counts["designs"] == res.analyses
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_bound_contract(self, steel_disk, alpha):
+        """None exactly when alpha f^2 >= bound; otherwise the unbounded result."""
+        layout, phases, chi, st = steel_disk
+        st = replace(st, alpha=alpha)
+        ops = topopt.constraint_maps(layout)
+        full = topopt.analyze_design(layout, chi, phases, st, *ops)
+        f = topopt.fit_term(full.lambda_star1, st.lambda_target)
+        assert f == full.cost.f
+        share = alpha * f * f
+        if alpha == 1.0:
+            assert share == full.cost.Pi
+        assert topopt.analyze_design(layout, chi, phases, st, *ops, bound=share) is None
+        above = topopt.analyze_design(layout, chi, phases, st, *ops,
+                                      bound=math.nextafter(share, math.inf))
+        _assert_same_analysis(above, full)
+
+    def test_worst_elastic_residual_skips_the_translation(self, steel_disk):
+        layout, phases, chi, st = steel_disk
+        ana = topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        worst = ana.worst_elastic_residual()
+        assert worst == max(ana.restricted.residuals.max(),
+                            ana.unrestricted.residuals[1:].max())
+        assert 0.0 < worst <= 1e-8
