@@ -2,32 +2,43 @@
 
 Solves (K - lambda M) phi = 0, real symmetric or complex Hermitian, for the
 smallest eigenpairs with mass-normalized modes; each eigenvalue is the
-Rayleigh quotient v^H K v of its mode. Every pencil goes through
-one path: K - sigma M is factored once with a sparse LU and handed to
-ARPACK as the shift-invert operator, started from a fixed vector. The shift
-is zero unless the caller factors at another one; a failed factorization is
-a solver failure. Bloch pencils hand in their own ``ShiftInvert`` instead:
-one LU of the wavenumber-free interior, shared by every wavenumber,
-condensed onto a Cholesky-factored border Schur complement (see
-``dispersion``). ``solve_relevant`` grows
-the mode count on that one factorization until a mode is relevant. Only
-requests for (nearly) all eigenpairs, which ARPACK cannot serve, take a
-dense solve.
+Rayleigh quotient v^H K v of its mode. K - sigma M is factored once
+per pencil and handed to ARPACK as the shift-invert operator, started from
+a fixed vector. Two builders make that factorization, and a failed one is
+a solver failure:
+
+- ``band_shift_invert``, for the optimizer's two pencils: a LAPACK band
+  Cholesky. Both optimizer maps number their free nodes row-major with one
+  x-dof per node, so past dof 0 each pencil is a band whose half-bandwidth
+  is one node row plus one (18 at 20x20, 54 at 60x60). Dof 0 of the free
+  pencil is the frame translation, coupled to every frame-adjacent node;
+  it is eliminated last, as a one-dof border, through its scalar Schur
+  complement.
+- ``shift_invert``, for every other pencil: a sparse LU. The periodic
+  wrap of the homogenization and Bloch pencils couples opposite edges, so
+  their band would be about n wide.
+
+Bloch pencils hand in their own ``ShiftInvert``: one LU of the
+wavenumber-free interior, shared by every wavenumber, condensed onto a
+Cholesky-factored border Schur complement (see ``dispersion``).
+``solve_relevant`` grows the mode count on one factorization until a mode
+is relevant. Only requests for (nearly) all eigenpairs, which ARPACK
+cannot serve, take a dense solve.
 
 Precondition: the shift lies below the pencil's spectrum, so K - sigma M is
-positive definite. The factorization relies on it: it orders by minimum
+positive definite. Both builders rely on it: a Cholesky factor exists
+only for a positive definite matrix, and the sparse LU orders by minimum
 degree on the pattern of A + A^T, which for these structurally symmetric
 pencils is A's own, and takes its pivots from the diagonal without
-searching. (An ordering on A^T A would square the free pencil's dense
-frame-translation row into a dense block.) The optimizer shifts by 0
-(restricted) and by a negative value (free), homogenization by 0 with the
-corners pinned, the Bloch solves by -(2 pi 300 Hz)^2.
+searching. The optimizer shifts
+by 0 (restricted) and by a negative value (free), homogenization by 0 with
+the corners pinned, the Bloch solves by -(2 pi 300 Hz)^2.
 
 ``count_below`` is the only factorization of an indefinite pencil: it
-factors K - sigma M the same way at a sigma inside the spectrum, not to
-solve with it but to count the eigenvalues below sigma (Sylvester inertia).
-Its count is trusted only when every pivot stayed on the diagonal; otherwise
-it raises SolverFailureError.
+factors K - sigma M with the sparse LU at a sigma inside the spectrum, not
+to solve with it but to count the eigenvalues below sigma (Sylvester
+inertia). Its count is trusted only when every pivot stayed on the
+diagonal; otherwise it raises SolverFailureError.
 
 Relevance of a mode is judged by its momentum coupling <rho phi>
 (restricted systems) or its mean displacement <phi> (unrestricted systems),
@@ -76,8 +87,9 @@ class ModalSolution:
 
 @dataclass(frozen=True)
 class ShiftInvert:
-    """(K - sigma M)^-1 of one pencil: a sparse LU factorization, or any
-    operator that applies the same inverse."""
+    """(K - sigma M)^-1 of one pencil: a band Cholesky or sparse LU
+    factorization (``band_shift_invert``, ``shift_invert``), or any operator
+    that applies the same inverse."""
 
     sigma: float
     operator: spla.LinearOperator = field(repr=False)
@@ -117,10 +129,8 @@ def _splu(A):
     """Sparse LU of the csr matrix A, ordered by minimum degree on the pattern
     of A + A^T, with pivots taken from the diagonal without searching.
 
-    A + A^T is A's own pattern for these structurally symmetric pencils. An
-    ordering on A^T A would square it instead: the free pencil's frame
-    translation row, coupled to every frame-adjacent node, would become a
-    dense block and more than double that pencil's fill.
+    A + A^T is A's own pattern for these structurally symmetric pencils; an
+    ordering on A^T A would square it and add fill.
     """
     # a real symmetric csr matrix is its own transpose, which is csc
     A = A.tocsc() if np.iscomplexobj(A) else A.T
@@ -162,6 +172,51 @@ def shift_invert(K, M, shift: float = 0.0) -> ShiftInvert:
     except RuntimeError as err:
         raise SolverFailureError(f"shift-invert factorization failed: {err}") from err
     return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype))
+
+
+def band_shift_invert(K, M, shift: float = 0.0) -> ShiftInvert:
+    """Factor the positive definite K - sigma M, sigma = ``shift``, of an
+    optimizer pencil once for any number of solves, as a LAPACK band
+    Cholesky with dof 0 as a one-dof border.
+
+    With A = [[a, c^T], [c, B]], B (every dof past 0) is packed into upper
+    band storage, its half-bandwidth read from its pattern, and factored
+    (dpbtrf). Dof 0 is eliminated last: w = B^-1 c and s = a - c^T w once,
+    then each solve takes one band solve y = B^-1 b_1 (dpbtrs),
+    x_0 = (b_0 - c^T y) / s and x_1 = y - x_0 w. A pencil that is not
+    positive definite (a failed band factorization or s <= 0) raises
+    SolverFailureError.
+    """
+    K, M = _as_csr(K), _as_csr(M)
+    sigma = float(shift)
+    A = K if sigma == 0.0 else K - sigma * M
+    n = A.shape[0]
+    U = sparse.triu(A, format="coo")
+    head = U.row == 0    # the border row; A's symmetry gives its column
+    border = np.zeros(n)
+    border[U.col[head]] = U.data[head]
+    a, c = border[0], border[1:]
+    row, col = U.row[~head] - 1, U.col[~head] - 1
+    u = int((col - row).max(initial=0))
+    band = np.zeros((u + 1, n - 1))
+    band[u + row - col, col] = U.data[~head]
+    try:
+        cb = dla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except dla.LinAlgError as err:
+        raise SolverFailureError(f"band factorization failed: {err}") from err
+    w = dla.cho_solve_banded((cb, False), c, check_finite=False)
+    s = a - c @ w
+    if not s > 0.0:
+        raise SolverFailureError(f"band factorization failed: border pivot {s:.3g}")
+
+    def solve(b):
+        b = np.ravel(b)
+        y = dla.cho_solve_banded((cb, False), b[1:], check_finite=False)
+        x0 = (b[0] - c @ y) / s
+        y -= x0 * w
+        return np.concatenate(([x0], y))
+
+    return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype))
 
 
 def solve_smallest(K, M, count: int, factor: ShiftInvert | None = None) -> ModalSolution:
@@ -209,11 +264,13 @@ def solve_smallest(K, M, count: int, factor: ShiftInvert | None = None) -> Modal
     return _solution(K, M, vals, vecs)
 
 
-def solve_relevant(K, M, count: int, relevant, shift: float = 0.0):
+def solve_relevant(K, M, count: int, relevant, factorize=shift_invert):
     """(sol, relevant(sol)), doubling ``count`` up to min(_COUNT_CAP, n) while
     ``relevant`` raises NoRelevantModeError (re-raised at the cap).
 
-    The pencil is factored once for all counts.
+    The pencil is factored once for all counts, by ``factorize(K, M)``, a
+    builder such as ``shift_invert`` or ``band_shift_invert`` with its
+    shift bound; not at all while the dense path serves.
     """
     K, M = _as_csr(K), _as_csr(M)
     n = K.shape[0]
@@ -221,7 +278,7 @@ def solve_relevant(K, M, count: int, relevant, shift: float = 0.0):
     factor = None
     while True:
         if factor is None and count < n - 1:
-            factor = shift_invert(K, M, shift)
+            factor = factorize(K, M)
         sol = solve_smallest(K, M, count, factor=factor)
         try:
             return sol, relevant(sol)

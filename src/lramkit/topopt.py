@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -220,7 +221,8 @@ def constraint_maps(layout: rve.CellLayout):
 
 def _solve_relevant(K, M, ops, volume, rho_bar, count, delta_tol, shift,
                     restricted: bool):
-    """Smallest modes of the reduced pencil plus relevance indices."""
+    """Smallest modes of the reduced pencil plus relevance indices, on one
+    band Cholesky of K - shift M (see ``modal.band_shift_invert``)."""
     P = ops.P
     Kr = fem.reduce(K, ops)
     Mr = fem.reduce(M, ops)
@@ -234,7 +236,8 @@ def _solve_relevant(K, M, ops, volume, rho_bar, count, delta_tol, shift,
         return modal.filter_relevant_unrestricted(
             sol, mean, 1.0 / math.sqrt(rho_bar * volume), delta_tol)
 
-    return modal.solve_relevant(Kr, Mr, count, relevant, shift=shift)
+    return modal.solve_relevant(Kr, Mr, count, relevant,
+                                partial(modal.band_shift_invert, shift=shift))
 
 
 def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,
@@ -383,9 +386,10 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
     alpha < 1 the prune rarely fires. ``analyses`` and ``free_solves`` of
     the result count both.
 
-    The march runs with one BLAS thread per library: its thousands of small
-    sparse solves and ARPACK steps gain nothing from a second BLAS thread,
-    and the idle pools' spinning workers slow every layer.
+    The march runs with one BLAS thread per library: its band
+    factorizations, thousands of small solves and ARPACK steps gain nothing
+    from a second BLAS thread, and the idle pools' spinning workers slow
+    every layer (``dpbtrf`` on a 60x60 pencil about fivefold).
     """
     grid = layout.grid
     omega_min = feasibility_lower_limit((phases.frame, phases.dense, phases.soft),

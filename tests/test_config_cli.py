@@ -421,6 +421,19 @@ class TestPipelineRun:
                                             "at kappa = 0 rad/m")
         assert "Traceback" not in capsys.readouterr().out
 
+    def test_failed_band_cholesky_exits_two(self, tmp_path, monkeypatch, capsys):
+        def not_definite(*args, **kwargs):
+            raise linalg.LinAlgError("synthetic: not positive definite")
+
+        monkeypatch.setattr(linalg, "cholesky_banded", not_definite)
+        cfg_file = _gated_config(tmp_path, out_name="cli_out")
+        assert cli.main(["optimize", "--config", str(cfg_file)]) == 2
+        manifest = json.loads((tmp_path / "cli_out" / "failure_manifest.json").read_text())
+        assert manifest["error"] == ("SolverFailureError: band factorization failed: "
+                                     "synthetic: not positive definite")
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
     def test_bloch_residual_logged(self, tmp_path):
         lines = []
         cfg = load_config(_gated_config(tmp_path))

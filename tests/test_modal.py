@@ -183,8 +183,9 @@ class TestCountBelow:
 
 
 class TestOrdering:
-    """The minimum-degree ordering on A + A^T, on the pencils of a 3 mm
-    steel disk at 20x20."""
+    """The factorizations of a 3 mm steel disk's pencils at 20x20: band
+    Cholesky for the optimizer's two, sparse LU ordered by minimum degree on
+    A + A^T for the homogenization and Bloch pencils."""
 
     @staticmethod
     def _factors(monkeypatch, run):
@@ -201,36 +202,110 @@ class TestOrdering:
         monkeypatch.undo()
         return factors
 
-    def _optimizer_factors(self, steel_disk, monkeypatch):
-        layout, phases, chi, st = steel_disk
-        ops = topopt.constraint_maps(layout)
-        factors = self._factors(
-            monkeypatch, lambda: topopt.analyze_design(layout, chi, phases, st, *ops))
-        assert [lu.shape[0] for lu in factors] == [289, 290]    # restricted, free
-        return factors
-
     def test_free_fill_near_restricted(self, steel_disk, monkeypatch):
         """The free pencil is the restricted one plus one border dof, the
-        frame translation coupled to every frame-adjacent node. Ordered on
-        A^T A, that dense row doubles the fill."""
-        restricted, free = (lu.L.nnz + lu.U.nnz
-                            for lu in self._optimizer_factors(steel_disk, monkeypatch))
+        frame translation coupled to every frame-adjacent node. Eliminated
+        last, that row leaves the rest a band as narrow as the restricted
+        pencil's; in the band it would span the whole pencil."""
+        layout, phases, chi, st = steel_disk
+        bands = []
+        cholesky_banded = modal.dla.cholesky_banded
+
+        def keeping(band, *args, **kwargs):
+            bands.append(cholesky_banded(band, *args, **kwargs))
+            return bands[-1]
+
+        monkeypatch.setattr(modal.dla, "cholesky_banded", keeping)
+        topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        # past the border: 288 and 289 dofs, half-bandwidth one node row plus one
+        assert [band.shape for band in bands] == [(19, 288), (19, 289)]
+        # stored entries: the band plus the border column w = B^-1 c
+        restricted, free = (band.size + band.shape[1] for band in bands)
         assert free <= 1.25 * restricted
 
     def test_pivots_stay_on_the_diagonal(self, steel_disk, epoxy, steel, rubber, monkeypatch):
-        """Every factorization of the optimizer, the homogenization (the
-        indefinite inertia count at the mode ceiling, then zero shift) and
-        the Bloch oracle (its interior A_II)."""
-        layout, _, chi, _ = steel_disk
+        """Every sparse LU of the homogenization (the indefinite inertia
+        count at the mode ceiling, then zero shift) and the Bloch oracle (its
+        interior A_II); the optimizer makes none."""
+        layout, phases, chi, st = steel_disk
         g = layout.grid
         fields = rve.material_fields(layout, chi, rve.PhaseSet(epoxy, steel, rubber),
                                      include_viscosity=False)
+        ops = topopt.constraint_maps(layout)
+        optimizer = self._factors(
+            monkeypatch, lambda: topopt.analyze_design(layout, chi, phases, st, *ops))
         cell = self._factors(monkeypatch, lambda: homogenize.cell_modes(g, fields))
         bloch = self._factors(monkeypatch, lambda: dispersion._BlochCell(g, fields))
-        assert (len(cell), len(bloch)) == (2, 1)
+        assert (len(optimizer), len(cell), len(bloch)) == (0, 2, 1)
         assert np.count_nonzero(cell[0].U.diagonal() < 0.0) > 0   # indefinite
-        for lu in self._optimizer_factors(steel_disk, monkeypatch) + cell + bloch:
+        for lu in cell + bloch:
             np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+
+
+class TestBandShiftInvert:
+    """The band Cholesky of the optimizer's two pencils on a 3 mm steel disk
+    at 20x20, against the sparse LU of the same pencil."""
+
+    @pytest.fixture
+    def pencils(self, steel_disk, monkeypatch):
+        """{"restricted": (K, M, shift), "free": ...}, as ``analyze_design``
+        factors them."""
+        layout, phases, chi, st = steel_disk
+        calls = []
+        build = modal.band_shift_invert
+
+        def recording(K, M, shift=0.0):
+            calls.append((K, M, shift))
+            return build(K, M, shift)
+
+        monkeypatch.setattr(modal, "band_shift_invert", recording)
+        topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        monkeypatch.undo()
+        return dict(zip(("restricted", "free"), calls))
+
+    @pytest.mark.parametrize("pencil", ["restricted", "free"])
+    def test_apply_matches_sparse_lu(self, pencils, pencil):
+        """Equal to the scale of a backward-stable solve, |A| |x|. The
+        pencils' condition numbers (4e7 and 3e9) let the two solutions
+        themselves differ by up to 7e-9 of |x|, as each does from a dense
+        solve."""
+        K, M, shift = pencils[pencil]
+        A = K - shift * M
+        band = modal.band_shift_invert(K, M, shift).operator
+        lu = modal.shift_invert(K, M, shift).operator
+        rng = np.random.default_rng(11)
+        for b in (rng.standard_normal(A.shape[0]), M @ rng.standard_normal(A.shape[0])):
+            x, ref = band.matvec(b), lu.matvec(b)
+            scale = linalg.norm(A.toarray(), 2) * np.linalg.norm(ref)
+            assert np.linalg.norm(A @ (x - ref)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("pencil", ["restricted", "free"])
+    def test_eigenpairs_match_sparse_lu(self, pencils, pencil):
+        """The free pencil's mode 0 is the translation, whose eigenvalue and
+        residual are roundoff; the elastic modes are compared. Neither
+        factorization fixes the restricted lambda_1 better than 1e-10: each
+        lies 7e-11 to 1.2e-10 from the Rayleigh quotient of a dense eigh."""
+        K, M, shift = pencils[pencil]
+        elastic = slice(pencil == "free", None)
+        band, lu = (modal.solve_smallest(K, M, 4, factor=build(K, M, shift))
+                    for build in (modal.band_shift_invert, modal.shift_invert))
+        np.testing.assert_allclose(band.eigenvalues[elastic], lu.eigenvalues[elastic],
+                                   rtol=1e-10)
+        assert band.residuals[elastic].max() <= 1e-8
+        if pencil == "free":
+            assert abs(band.eigenvalues[0]) < 1e-6 * band.eigenvalues[1]
+
+    @pytest.mark.parametrize("pencil, match", [
+        ("restricted", "leading minor"),   # shift above lambda_1: the band fails
+        ("free", "border pivot"),          # between the translation and the band's lambda_1
+    ])
+    def test_not_positive_definite_raises(self, pencils, pencil, match):
+        K, M, _ = pencils["restricted"]
+        lam1 = modal.solve_smallest(K, M, 1).eigenvalues[0]
+        K, M, _ = pencils[pencil]
+        shift = 1.5 * lam1 if pencil == "restricted" else 0.5 * lam1
+        with pytest.raises(SolverFailureError, match=match):
+            modal.band_shift_invert(K, M, shift)
 
 
 class TestRestrictedRelevance:

@@ -408,11 +408,11 @@ def pruned_runs(materials):
     runs = {}
     for target, alpha in _PRUNE_RUNS:
         counts = {"restricted": 0, "free": 0, "analyses": 0, "designs": 0}
-        shift_invert, analyze = modal.shift_invert, topopt.analyze_design
+        band_shift_invert, analyze = modal.band_shift_invert, topopt.analyze_design
 
         def counting_factor(K, M, *args, **kwargs):
             counts[{n_r: "restricted", n_u: "free"}[K.shape[0]]] += 1
-            return shift_invert(K, M, *args, **kwargs)
+            return band_shift_invert(K, M, *args, **kwargs)
 
         def counting_analysis(*args, **kwargs):
             counts["analyses"] += 1
@@ -421,7 +421,7 @@ def pruned_runs(materials):
             return ana
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(modal, "shift_invert", counting_factor)
+            mp.setattr(modal, "band_shift_invert", counting_factor)
             mp.setattr(topopt, "analyze_design", counting_analysis)
             st = topopt.OptimizerSettings(target_f_hz=target, alpha=alpha)
             runs[target, alpha] = (topopt.optimize(layout, phases, st), counts)
