@@ -100,7 +100,6 @@ class PipelineConfig:
     path: str | None = None
 
     def frequencies(self):
-        import numpy as np
         return np.linspace(self.f_min_hz, self.f_max_hz, self.samples)
 
     @property

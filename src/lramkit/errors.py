@@ -6,8 +6,8 @@ class LramError(Exception):
 
 
 class InvalidMaterialError(LramError, ValueError):
-    """Material input violates a physical requirement (negative density,
-    non-positive-semidefinite constitutive tensor)."""
+    """Material input violates a physical requirement (a negative density,
+    modulus or viscosity)."""
 
 
 class MeshIncompatibilityError(LramError, ValueError):

@@ -1,8 +1,8 @@
 """Plane-strain Q4 finite-element machinery for the unit cell.
 
-Builds the global mass, damping and stiffness matrices from per-Gauss-point
-material fields, plus the kinematic operators used by homogenization and
-optimization:
+Builds the global mass, damping and stiffness matrices from the per-Gauss-point
+moduli (rho, K, G, mu_visc) of ``materials.GaussPointFields``, plus the
+kinematic operators used by homogenization and optimization:
 
 * volume-averaging rows N_mu (2 x ndof) and B_mu (3 x ndof) so that
   N_mu u = <u> and B_mu u = <grad_s u>,
@@ -27,7 +27,7 @@ from scipy import sparse
 
 from .errors import MeshIncompatibilityError
 from .grid import StructuredGrid
-from .materials import GaussPointFields
+from .materials import GaussPointFields, deviatoric_voigt, volumetric_voigt
 
 _G = 1.0 / np.sqrt(3.0)
 # Gauss points ordered like the element corners so point g is nearest node g.
@@ -75,23 +75,27 @@ def _reference_operators(hx: float, hy: float):
 
 @functools.lru_cache(maxsize=8)
 def _element_templates(hx: float, hy: float):
-    """(36, 64) and (4, 64) templates: an element's flattened 8x8 block is
-    C_gp.reshape(36) @ stiffness template, or rho_gp @ mass template, since
-    it is linear in the Gauss-point tensor and density."""
+    """(8, 64) moduli and (4, 64) mass templates: an element's flattened 8x8
+    block is (K_gp, G_gp) @ moduli template, or rho_gp @ mass template, since
+    it is linear in the Gauss-point moduli. The integral of B^T (K VOL + G DEV) B
+    is contracted with VOL and DEV here, once per element size."""
     Nm, Bm = _reference_operators(hx, hy)
     dJ = hx * hy / 4.0
-    stiff = np.einsum("gai,gbj->gabij", Bm, Bm).reshape(36, 64) * dJ
+    btb = np.einsum("gai,gbj->gabij", Bm, Bm).reshape(4, 9, 64) * dJ
+    moduli = np.concatenate([np.einsum("k,gkm->gm", T.ravel(), btb)
+                             for T in (volumetric_voigt(), deviatoric_voigt())])
     mass = np.einsum("gai,gaj->gij", Nm, Nm).reshape(4, 64) * dJ
-    stiff.flags.writeable = False
+    moduli.flags.writeable = False
     mass.flags.writeable = False
-    return stiff, mass
+    return moduli, mass
 
 
-def stiffness_blocks(grid: StructuredGrid, tensor: np.ndarray) -> np.ndarray:
-    """Per-element (ne, 8, 8) integrals of B^T tensor B: the stiffness blocks
-    for the elastic tensor C, the damping blocks for the viscous tensor eta."""
-    stiff, _ = _element_templates(grid.hx, grid.hy)
-    return (tensor.reshape(-1, 36) @ stiff).reshape(-1, 8, 8)
+def stiffness_blocks(grid: StructuredGrid, K: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Per-element (ne, 8, 8) integrals of B^T (K VOL + G DEV) B for (ne, 4)
+    Gauss-point moduli: the stiffness blocks for (K, G), the damping blocks
+    for (0, mu_visc). One product, so no per-modulus block array is built."""
+    moduli, _ = _element_templates(grid.hx, grid.hy)
+    return (np.concatenate((K, G), axis=1) @ moduli).reshape(-1, 8, 8)
 
 
 def mass_blocks(grid: StructuredGrid, rho: np.ndarray) -> np.ndarray:
@@ -128,19 +132,19 @@ def _scatter(grid: StructuredGrid, blocks: np.ndarray) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(grid.ndof, grid.ndof))
 
 
-def assemble(grid: StructuredGrid, fields: GaussPointFields, validate: bool = True):
+def assemble(grid: StructuredGrid, fields: GaussPointFields):
     """Global (M, K) csr matrices from Gauss-point material fields; the
     viscosity-dependent damping matrix comes from ``damping_matrix``."""
-    if validate:
-        fields.validate()
+    fields.validate()
     return (_scatter(grid, mass_blocks(grid, fields.rho)),
-            _scatter(grid, stiffness_blocks(grid, fields.C)))
+            _scatter(grid, stiffness_blocks(grid, fields.K, fields.G)))
 
 
 def damping_matrix(grid: StructuredGrid, fields: GaussPointFields) -> sparse.csr_matrix:
     """Global damping csr matrix alone, the only viscosity-dependent one."""
     fields.validate()
-    return _scatter(grid, stiffness_blocks(grid, fields.eta))
+    return _scatter(grid, stiffness_blocks(grid, np.zeros_like(fields.mu_visc),
+                                           fields.mu_visc))
 
 
 def averaging_operators(grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:

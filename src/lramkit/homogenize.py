@@ -272,12 +272,11 @@ def bandgap_edges(em: EffectiveMaterial, axis: int = 0,
     from scipy.optimize import brentq
 
     poles = em.poles_hz(axis=axis)
-    poles = poles[poles < f_max_hz]
-    if poles.size == 0:
+    below = poles[poles < f_max_hz]
+    if below.size == 0:
         return None
-    f_lo = float(poles[0])
-    above = em.poles_hz(axis=axis)
-    above = above[above > f_lo * (1.0 + 1e-9)]
+    f_lo = float(below[0])
+    above = poles[poles > f_lo * (1.0 + 1e-9)]
     f_stop = float(above[0]) * (1.0 - 1e-6) if above.size else f_max_hz
 
     undamped = replace(em, omega_d=np.zeros_like(em.omega_d))

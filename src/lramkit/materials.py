@@ -1,12 +1,16 @@
-"""Material phases, isotropic constitutive/viscous tensors and the
+"""Material phases, their isotropic moduli and Voigt tensors, and the
 characteristic-function interpolation used by the optimizer.
+
+Every phase is isotropic, so Gauss-point fields carry the four moduli
+(rho, K, G, mu_visc) of ``MaterialPhase``; the Voigt tensors K VOL + G DEV
+and mu DEV are formed only inside the element templates of ``fem``.
 
 All quantities are SI: densities in kg/m^3, moduli in Pa, viscosities in
 Pa*s. Plane-strain Voigt ordering is (xx, yy, xy) with engineering shear.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -128,32 +132,24 @@ def interpolate(chi, scheme: InterpolationScheme):
 
 @dataclass(frozen=True)
 class GaussPointFields:
-    """Per-Gauss-point material data on a grid: rho (ne, ng), C and eta
-    (ne, ng, 3, 3). Inputs to global assembly."""
+    """Per-Gauss-point moduli on a grid, each (ne, ng) and named like the
+    ``MaterialPhase`` property it holds. Inputs to global assembly."""
 
     rho: np.ndarray
-    C: np.ndarray
-    eta: np.ndarray
+    K: np.ndarray
+    G: np.ndarray
+    mu_visc: np.ndarray
 
     def validate(self):
-        if np.any(self.rho < 0.0):
-            raise InvalidMaterialError("negative density in Gauss-point field")
-        for name, tensor in (("C", self.C), ("eta", self.eta)):
-            sym_err = np.abs(tensor - np.swapaxes(tensor, -1, -2)).max()
-            scale = np.abs(tensor).max() + 1e-300
-            if sym_err > 1e-9 * scale:
-                raise InvalidMaterialError(f"{name} tensor field not symmetric")
-            eigs = np.linalg.eigvalsh(tensor)
-            if eigs.min() < -1e-9 * scale:
-                raise InvalidMaterialError(f"{name} tensor field not positive semidefinite")
+        """Reject a negative (or NaN) entry. This is all positive
+        semidefiniteness asks: C = K VOL + G DEV is PSD iff G >= 0 and
+        K + G/3 >= 0, and eta = mu DEV iff mu >= 0."""
+        for f in fields(self):
+            if not np.all(getattr(self, f.name) >= 0.0):
+                raise InvalidMaterialError(f"negative {f.name} in Gauss-point field")
 
 
 def uniform_fields(grid, phase: MaterialPhase, ngauss: int = 4) -> GaussPointFields:
     """Homogeneous fields for a single-phase cell."""
-    C, eta = isotropic_tensors(phase)
-    ne = grid.nelem
-    return GaussPointFields(
-        rho=np.full((ne, ngauss), phase.rho),
-        C=np.broadcast_to(C, (ne, ngauss, 3, 3)).copy(),
-        eta=np.broadcast_to(eta, (ne, ngauss, 3, 3)).copy(),
-    )
+    return GaussPointFields(*(np.full((grid.nelem, ngauss), getattr(phase, f.name))
+                              for f in fields(GaussPointFields)))

@@ -147,8 +147,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
             chi = rve.chi_at_gauss(layout, phi)
             phases_true = rve.PhaseSet(frame=frame, dense=dense, soft=soft,
                                        exponent=cfg.interpolation_exponent)
-            fields = rve.material_fields(layout, chi, phases_true,
-                                         include_viscosity=False)
+            fields = rve.material_fields(layout, chi, phases_true)
             cell = homogenize.cell_modes(grid, fields, delta_tol=cfg.delta_tol,
                                          keep_below_hz=cfg.mode_ceiling_hz)
             for mu in cfg.viscosities:

@@ -6,11 +6,12 @@ design domain where the level-set function decides between the dense
 inclusion phase and the soft coating phase. The characteristic function chi
 is evaluated at Gauss points by bilinear interpolation of the nodal
 level-set values followed by a Heaviside map, so state and sensitivities
-live on one grid.
+live on one grid. ``material_fields`` turns chi into the Gauss-point
+moduli (rho, K, G, mu_visc) that ``fem`` assembles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .materials import (
     InterpolationScheme,
     MaterialPhase,
     interpolate,
-    isotropic_tensors,
 )
 
 DEFAULT_FRAME_FRACTION = 0.05  # frame thickness / cell edge; 19% of the volume
@@ -112,34 +112,17 @@ def scaled_phases(frame: MaterialPhase, dense: MaterialPhase, soft: MaterialPhas
                     exponent=exponent)
 
 
-def material_fields(layout: CellLayout, chi: np.ndarray, phases: PhaseSet,
-                    include_viscosity: bool = True) -> GaussPointFields:
-    """Gauss-point (rho, C, eta) fields for a given characteristic function."""
-    grid = layout.grid
-    ne = grid.nelem
-    rho = np.empty((ne, 4))
-    C = np.empty((ne, 4, 3, 3))
-    eta = np.zeros((ne, 4, 3, 3))
-
-    rho_val, _ = interpolate(chi, phases.scheme("rho"))
-    K_val, _ = interpolate(chi, phases.scheme("K"))
-    G_val, _ = interpolate(chi, phases.scheme("G"))
-
-    from .materials import volumetric_voigt, deviatoric_voigt
-    VOL = volumetric_voigt()
-    DEV = deviatoric_voigt()
-    rho[:] = rho_val
-    C[:] = K_val[..., None, None] * VOL + G_val[..., None, None] * DEV
-    if include_viscosity:
-        mu_val, _ = interpolate(chi, phases.scheme("mu_visc"))
-        eta[:] = mu_val[..., None, None] * DEV
-
-    frame_mask = ~layout.design_elements
-    Cf, etaf = isotropic_tensors(phases.frame)
-    rho[frame_mask, :] = phases.frame.rho
-    C[frame_mask, :, :, :] = Cf
-    eta[frame_mask, :, :, :] = etaf if include_viscosity else 0.0
-    return GaussPointFields(rho=rho, C=C, eta=eta)
+def material_fields(layout: CellLayout, chi: np.ndarray, phases: PhaseSet) -> GaussPointFields:
+    """Gauss-point moduli for a given characteristic function: each is
+    interpolated between the dense and soft phases, and the frame's value
+    holds on the frame elements."""
+    frame = ~layout.design_elements
+    values = []
+    for f in fields(GaussPointFields):
+        value, _ = interpolate(chi, phases.scheme(f.name))
+        value[frame] = getattr(phases.frame, f.name)
+        values.append(value)
+    return GaussPointFields(*values)
 
 
 def volume_fractions(layout: CellLayout, chi: np.ndarray) -> tuple[float, float, float]:

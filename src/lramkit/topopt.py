@@ -250,8 +250,7 @@ def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet
     cost Pi = alpha f^2 + (1 - alpha) g^2 cannot then fall below it.
     """
     grid = layout.grid
-    fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
-    M, K = fem.assemble(grid, fields, validate=False)
+    M, K = fem.assemble(grid, rve.material_fields(layout, chi, phases))
     volume = grid.area
     # both maps share I_rigid: it depends on the grid alone
     rho_bar = modal.average_density(M, ops_restricted.I_rigid, volume)

@@ -300,7 +300,7 @@ class TestCriterion10SensitivityCorrectness:
 
         def solve(chi_in):
             fields = rve.material_fields(layout, chi_in, phases)
-            M, K = fem.assemble(g, fields, validate=False)
+            M, K = fem.assemble(g, fields)
             return dense_modal((ops.P.T @ K @ ops.P).toarray(),
                                (ops.P.T @ M @ ops.P).toarray())
 

@@ -3,7 +3,8 @@
 ``lrambench/worker.py`` calls a few library functions directly, and its
 ``predict`` checks read the results that the tracer keeps from
 ``tracer.KEEP_RETURN``. The tracer skips a function it cannot find without a
-word, so a rename would empty those results and skip the checks silently.
+word, so a rename would empty those results and skip the checks silently,
+and would zero the per-layer metrics of every function in ``tracer.WRAPPED``.
 """
 import ast
 import importlib
@@ -37,10 +38,24 @@ def test_worker_calls_exist():
     assert not missing
 
 
-def test_kept_returns_exist():
+def _tracer():
     spec = importlib.util.spec_from_file_location("lrambench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_wrapped_names_exist():
+    """Every function the tracer wraps exists, except the two that were
+    folded into their callers; the benchmark still lists their metrics."""
+    folded = {("modal", "solve_smallest_hermitian"), ("dispersion", "bloch_transform")}
+    wrapped = set(_tracer().WRAPPED)
+    assert wrapped >= {("rve", "material_fields"), ("fem", "assemble")}
+    assert {name for name in wrapped if not callable(_library_function(*name))} == folded
+
+
+def test_kept_returns_exist():
+    tracer = _tracer()
     assert "homogenize.effective_material" in tracer.KEEP_RETURN
     missing = [name for name in sorted(tracer.KEEP_RETURN)
                if not callable(_library_function(*name.split(".")))]

@@ -175,8 +175,7 @@ class TestBlochOracle:
         xy = g.coords - g.centroid
         chi = rve.chi_at_gauss(layout, 0.003 - np.hypot(xy[:, 0], xy[:, 1]))
         fields = rve.material_fields(
-            layout, chi, rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber),
-            include_viscosity=False)
+            layout, chi, rve.PhaseSet(frame=epoxy, dense=steel, soft=rubber))
         solutions = []
         solve = modal.solve_smallest
 
@@ -221,7 +220,7 @@ def _oracle_pencil(g, fields, kappa):
 
 @pytest.mark.parametrize("grid_name", ["7x4", "3x5", "7x4-reversed"])
 @pytest.mark.parametrize("kL", [0.0, 0.3 * np.pi, -np.pi])
-def test_bloch_pencil_is_the_phased_product(epoxy, grid_name, kL):
+def test_bloch_pencil_is_the_phased_product(grid_name, kL):
     """The pencil built from the two real parts equals T^H A T through the
     node-by-node Bloch map, for M (whose pattern stores the zero x-y
     couplings), K and C."""
@@ -230,7 +229,7 @@ def test_bloch_pencil_is_the_phased_product(epoxy, grid_name, kL):
     P0, P1 = dispersion._split_rows(ops)
     kappa = kL / g.width
     T = master_slave_map(g, "periodic", kappa=kappa)
-    for A in _random_matrices(g, epoxy):
+    for A in _random_matrices(g):
         red = dispersion._pencil_at(dispersion._bloch_parts(A, P0, P1),
                                     np.exp(1j * kappa * g.width))
         ref = (T.conj().T @ (A @ T)).tocsr()

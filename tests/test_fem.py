@@ -7,7 +7,14 @@ from scipy import sparse
 from lramkit import fem, modal
 from lramkit.errors import InvalidMaterialError, MeshIncompatibilityError
 from lramkit.grid import StructuredGrid, build_grid
-from lramkit.materials import isotropic_tensors, uniform_fields
+from lramkit.materials import (
+    GaussPointFields,
+    MaterialPhase,
+    deviatoric_voigt,
+    isotropic_tensors,
+    uniform_fields,
+    volumetric_voigt,
+)
 
 from oracles import master_slave_map, q4_element_matrices_symbolic
 
@@ -17,20 +24,22 @@ def small_grid():
     return build_grid(3, 2, 1.0)
 
 
+def _blocks(g, fields):
+    """(mass, damping, stiffness) element blocks of ``fields``."""
+    return (fem.mass_blocks(g, fields.rho),
+            fem.stiffness_blocks(g, np.zeros_like(fields.mu_visc), fields.mu_visc),
+            fem.stiffness_blocks(g, fields.K, fields.G))
+
+
 class TestElementMatrices:
     def test_against_symbolic_integration(self):
-        """One element with arbitrary anisotropic-ish C vs exact integrals."""
+        """One element with arbitrary moduli vs exact integrals of
+        B^T (K VOL + G DEV) B."""
         g = build_grid(2, 2, 1.0)  # hx = hy = 0.5
-        C = np.array([[4.0, 1.2, 0.3], [1.2, 3.0, 0.1], [0.3, 0.1, 1.5]])
-        rho = 2.7
-        ne = g.nelem
-        fields = uniform_fields(g, _phase_like(rho))
-        fields = fields.__class__(rho=np.full((ne, 4), rho),
-                                  C=np.broadcast_to(C, (ne, 4, 3, 3)).copy(),
-                                  eta=np.zeros((ne, 4, 3, 3)))
-        Me, Ce, Ke = (fem.mass_blocks(g, fields.rho), fem.stiffness_blocks(g, fields.eta),
-                      fem.stiffness_blocks(g, fields.C))
-        K_exact, M_exact = q4_element_matrices_symbolic(g.hx, g.hy, C, rho)
+        phase = MaterialPhase("t", rho=2.7, K=4.3, G=1.7)
+        C, _ = isotropic_tensors(phase)
+        Me, Ce, Ke = _blocks(g, uniform_fields(g, phase))
+        K_exact, M_exact = q4_element_matrices_symbolic(g.hx, g.hy, C, phase.rho)
         np.testing.assert_allclose(Ke[0], K_exact, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(Me[0], M_exact, rtol=1e-12, atol=1e-15)
         assert np.all(Ce == 0.0)
@@ -38,30 +47,22 @@ class TestElementMatrices:
     def test_stiffness_nullity_three(self, epoxy):
         g = build_grid(2, 2, 1.0)
         fields = uniform_fields(g, epoxy)
-        Ke = fem.stiffness_blocks(g, fields.C)
+        Ke = fem.stiffness_blocks(g, fields.K, fields.G)
         vals = np.linalg.eigvalsh(Ke[0])
         scale = vals.max()
         assert np.sum(np.abs(vals) < 1e-12 * scale) == 3  # 2 translations + rotation
 
     def test_blocks_symmetric(self, epoxy):
         g = build_grid(3, 3, 0.01)
-        fields = uniform_fields(g, epoxy.with_viscosity(2.0))
-        Me, Ce, Ke = (fem.mass_blocks(g, fields.rho), fem.stiffness_blocks(g, fields.eta),
-                      fem.stiffness_blocks(g, fields.C))
-        for blk in (Me, Ce, Ke):
+        for blk in _blocks(g, uniform_fields(g, epoxy.with_viscosity(2.0))):
             np.testing.assert_allclose(blk, np.swapaxes(blk, 1, 2), rtol=1e-13)
 
     def test_damping_zero_only_without_viscosity(self, epoxy):
         g = build_grid(2, 2, 1.0)
-        Ce = fem.stiffness_blocks(g, uniform_fields(g, epoxy).eta)
+        _, Ce, _ = _blocks(g, uniform_fields(g, epoxy))
         assert np.all(Ce == 0.0)
-        Ce = fem.stiffness_blocks(g, uniform_fields(g, epoxy.with_viscosity(1.0)).eta)
+        _, Ce, _ = _blocks(g, uniform_fields(g, epoxy.with_viscosity(1.0)))
         assert np.abs(Ce).max() > 0.0
-
-
-def _phase_like(rho):
-    from lramkit.materials import MaterialPhase
-    return MaterialPhase("t", rho=rho, K=1.0, G=1.0)
 
 
 class TestAssemble:
@@ -97,7 +98,7 @@ class TestAssemble:
     def test_negative_density_rejected(self, epoxy):
         g = build_grid(2, 2, 1.0)
         fields = uniform_fields(g, epoxy)
-        bad = fields.__class__(rho=fields.rho * -1.0, C=fields.C, eta=fields.eta)
+        bad = dataclasses.replace(fields, rho=fields.rho * -1.0)
         with pytest.raises(InvalidMaterialError):
             fem.assemble(g, bad)
 
@@ -121,18 +122,30 @@ def _coo_reference(grid, blocks):
                              shape=(grid.ndof, grid.ndof)).toarray()
 
 
-def _einsum_blocks(grid, rho, C, eta):
+def _random_fields(rng, ne):
+    """Random positive per-point (rho, K, G, mu_visc) on ``ne`` elements."""
+    return GaussPointFields(rho=rng.uniform(1000.0, 9000.0, size=(ne, 4)),
+                            K=rng.uniform(1.0, 4.0, size=(ne, 4)),
+                            G=rng.uniform(1.0, 4.0, size=(ne, 4)),
+                            mu_visc=rng.uniform(1e-3, 4e-3, size=(ne, 4)))
+
+
+def _einsum_blocks(grid, fields):
     """Reference (mass, damping, stiffness) element blocks by direct
-    Gauss-point summation of N^T rho N and B^T tensor B."""
+    Gauss-point summation of N^T rho N and B^T tensor B, with the tensors
+    C = K VOL + G DEV and eta = mu DEV formed at every point."""
     Nm, Bm = fem._reference_operators(grid.hx, grid.hy)
     dJ = grid.hx * grid.hy / 4.0
-    mass = np.einsum("ng,gai,gaj->nij", rho, Nm, Nm) * dJ
+    VOL, DEV = volumetric_voigt(), deviatoric_voigt()
+    C = fields.K[..., None, None] * VOL + fields.G[..., None, None] * DEV
+    eta = fields.mu_visc[..., None, None] * DEV
+    mass = np.einsum("ng,gai,gaj->nij", fields.rho, Nm, Nm) * dJ
     stiff = [np.einsum("gai,ngab,gbj->nij", Bm, T, Bm) * dJ for T in (eta, C)]
     return mass, stiff[0], stiff[1]
 
 
 class TestFixedPatternAssembly:
-    def test_matches_coo_reference(self, epoxy):
+    def test_matches_coo_reference(self):
         """Rectangular grids of two sizes, plus one with the same nx, ny but
         its elements listed in reverse, in one process: the cached pattern
         must follow the connectivity, not the grid dimensions."""
@@ -141,15 +154,10 @@ class TestFixedPatternAssembly:
         grids = [g74, build_grid(3, 5, 0.02),
                  dataclasses.replace(g74, elements=g74.elements[::-1].copy()), g74]
         for g in grids:
-            ne = g.nelem
-            L = rng.standard_normal((ne, 4, 3, 3))
-            C = np.einsum("ngab,ngcb->ngac", L, L) + 3.0 * np.eye(3)
-            eta = 1e-3 * np.einsum("ngab,ngcb->ngac", L[::-1], L[::-1])
-            rho = rng.uniform(1000.0, 9000.0, size=(ne, 4))
-            fields = uniform_fields(g, epoxy).__class__(rho=rho, C=C, eta=eta)
+            fields = _random_fields(rng, g.nelem)
             M, K = fem.assemble(g, fields)
             D = fem.damping_matrix(g, fields)
-            for A, blocks in zip((M, D, K), _einsum_blocks(g, rho, C, eta)):
+            for A, blocks in zip((M, D, K), _einsum_blocks(g, fields)):
                 ref = _coo_reference(g, blocks)
                 assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
             for A in (D, K):
@@ -189,11 +197,7 @@ class TestKinematicOperators:
         g = build_grid(6, 6, 0.01)
         rng = np.random.default_rng(3)
         rho = rng.uniform(1000.0, 9000.0, size=(g.nelem, 4))
-        C, _ = isotropic_tensors(epoxy)
-        fields = uniform_fields(g, epoxy).__class__(
-            rho=rho, C=np.broadcast_to(C, (g.nelem, 4, 3, 3)).copy(),
-            eta=np.zeros((g.nelem, 4, 3, 3)))
-        M, _ = fem.assemble(g, fields)
+        M, _ = fem.assemble(g, dataclasses.replace(uniform_fields(g, epoxy), rho=rho))
         _, I_rigid = fem.kinematic_basis(g)
         avg = modal.average_density(M, I_rigid, g.area)
         assert avg == pytest.approx(rho.mean(), rel=1e-12)
@@ -274,14 +278,9 @@ def _map_grid(name):
             "7x4-reversed": dataclasses.replace(g74, elements=g74.elements[::-1].copy())}[name]
 
 
-def _random_matrices(g, epoxy):
+def _random_matrices(g):
     """(M, K, C) of random Gauss-point fields on ``g``."""
-    rng = np.random.default_rng(5)
-    L = rng.standard_normal((g.nelem, 4, 3, 3))
-    fields = uniform_fields(g, epoxy).__class__(
-        rho=rng.uniform(1000.0, 9000.0, size=(g.nelem, 4)),
-        C=np.einsum("ngab,ngcb->ngac", L, L) + 3.0 * np.eye(3),
-        eta=1e-3 * np.einsum("ngab,ngcb->ngac", L[::-1], L[::-1]))
+    fields = _random_fields(np.random.default_rng(5), g.nelem)
     M, K = fem.assemble(g, fields)
     return M, K, fem.damping_matrix(g, fields)
 
@@ -299,7 +298,7 @@ class TestMasterSlaveMap:
             np.testing.assert_array_equal(getattr(ops.P, name), getattr(ref, name))
 
     @pytest.mark.parametrize("bc, horizontal", REAL_MAPS)
-    def test_reduce_is_the_sparse_product(self, epoxy, grid_name, bc, horizontal):
+    def test_reduce_is_the_sparse_product(self, grid_name, bc, horizontal):
         """Bitwise P^T A P, zeros dropped, for M (whose pattern stores the
         zero x-y couplings), K and C. The one exception is the rigid frame's
         own entry, the first stored one: ``reduce`` adds a row's frame
@@ -308,7 +307,7 @@ class TestMasterSlaveMap:
         ops = fem.build_constraints(g, bc, **_map_options(g, horizontal))
         P = ops.P
         skip = 1 if (bc, horizontal) == (BC.FREE, "frame") else 0
-        for A in _random_matrices(g, epoxy):
+        for A in _random_matrices(g):
             red = fem.reduce(A, ops)
             ref = (P.T @ (A @ P)).tocsr()
             ref.sort_indices()
@@ -318,14 +317,14 @@ class TestMasterSlaveMap:
             np.testing.assert_array_equal(red.data[skip:], ref.data[skip:])
             assert red.data[0] == pytest.approx(ref.data[0], rel=1e-14)
 
-    def test_reduce_rejects_matrix_off_the_pattern(self, epoxy, grid_name):
+    def test_reduce_rejects_matrix_off_the_pattern(self, grid_name):
         g = _map_grid(grid_name)
         ops = fem.build_constraints(g, BC.PERIODIC_PINNED)
-        M, _, _ = _random_matrices(g, epoxy)
+        M, _, _ = _random_matrices(g)
         fem.reduce(M, ops)
         squeezed = M.copy()
         squeezed.eliminate_zeros()    # drops the x-y couplings M stores as zeros
-        other, _, _ = _random_matrices(build_grid(4, 4, 0.01), epoxy)
+        other, _, _ = _random_matrices(build_grid(4, 4, 0.01))
         for A in (squeezed, sparse.identity(g.ndof, format="csr"), other):
             with pytest.raises(ValueError, match="assembly pattern"):
                 fem.reduce(A, ops)

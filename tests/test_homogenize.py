@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,19 +22,10 @@ def _plane_strain_tensor(K, G):
 
 def _striped_fields(grid, phase_a, phase_b):
     """Vertical stripes: left half of the elements phase A, right half B."""
-    Ca, etaa = isotropic_tensors(phase_a)
-    Cb, etab = isotropic_tensors(phase_b)
-    ne = grid.nelem
-    rho = np.empty((ne, 4))
-    C = np.empty((ne, 4, 3, 3))
-    eta = np.empty((ne, 4, 3, 3))
-    for e in range(ne):
-        i = e % grid.nx
-        if i < grid.nx // 2:
-            rho[e], C[e], eta[e] = phase_a.rho, Ca, etaa
-        else:
-            rho[e], C[e], eta[e] = phase_b.rho, Cb, etab
-    return GaussPointFields(rho=rho, C=C, eta=eta)
+    left = (np.arange(grid.nelem) % grid.nx < grid.nx // 2)[:, None]
+    fa, fb = uniform_fields(grid, phase_a), uniform_fields(grid, phase_b)
+    return GaussPointFields(*(np.where(left, getattr(fa, f.name), getattr(fb, f.name))
+                              for f in dataclasses.fields(GaussPointFields)))
 
 
 class TestQuasiStatic:

@@ -229,8 +229,7 @@ class TestOrdering:
         interior A_II); the optimizer makes none."""
         layout, phases, chi, st = steel_disk
         g = layout.grid
-        fields = rve.material_fields(layout, chi, rve.PhaseSet(epoxy, steel, rubber),
-                                     include_viscosity=False)
+        fields = rve.material_fields(layout, chi, rve.PhaseSet(epoxy, steel, rubber))
         ops = topopt.constraint_maps(layout)
         optimizer = self._factors(
             monkeypatch, lambda: topopt.analyze_design(layout, chi, phases, st, *ops))

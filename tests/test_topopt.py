@@ -178,7 +178,7 @@ class TestSensitivityVsBruteForce:
 
         def lam1(chi_in):
             fields = rve.material_fields(layout, chi_in, phases)
-            M, K = fem.assemble(g, fields, validate=False)
+            M, K = fem.assemble(g, fields)
             vals, vecs = dense_modal((ops.P.T @ K @ ops.P).toarray(),
                                      (ops.P.T @ M @ ops.P).toarray())
             return vals[0], vecs
@@ -305,9 +305,9 @@ class TestOptimizerPencils:
 
         monkeypatch.setattr(fem, "assemble", bumped)
         ana2 = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
-        fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
-        _, K = assemble(g, fields, validate=False)
-        _, K2 = bumped(g, fields, validate=False)
+        fields = rve.material_fields(layout, chi, phases)
+        _, K = assemble(g, fields)
+        _, K2 = bumped(g, fields)
         phi = ana.mode_star
         predicted = float(phi @ ((K2 - K) @ phi)) / ana.lambda_star1
         moved = ana2.lambda_star1 / ana.lambda_star1 - 1.0
@@ -323,8 +323,8 @@ class TestOptimizerPencils:
         ana = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
 
         sol = ana.unrestricted
-        fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
-        M, _ = fem.assemble(g, fields, validate=False)
+        fields = rve.material_fields(layout, chi, phases)
+        M, _ = fem.assemble(g, fields)
         Mr = fem.reduce(M, ops_u)
         t = np.ones(ops_u.nfree)   # x-translation, reduced: the frame is one dof
         proj = np.abs(sol.modes.T @ (Mr @ t)) / math.sqrt(t @ (Mr @ t))
@@ -357,8 +357,8 @@ class TestOptimizerPencils:
     def test_eigenvalues_are_rayleigh_quotients(self, steel_disk):
         layout, phases, chi, _ = steel_disk
         ops_r, _ = topopt.constraint_maps(layout)
-        fields = rve.material_fields(layout, chi, phases, include_viscosity=False)
-        M, K = fem.assemble(layout.grid, fields, validate=False)
+        fields = rve.material_fields(layout, chi, phases)
+        M, K = fem.assemble(layout.grid, fields)
         Kr, Mr = fem.reduce(K, ops_r), fem.reduce(M, ops_r)
         sol = modal.solve_smallest(Kr, Mr, 4)
         quotients = np.einsum("ij,ij->j", sol.modes, Kr @ sol.modes)
