@@ -117,19 +117,27 @@ def _finite(value: str) -> float:
     return number
 
 
+def _listed(parse):
+    """Parser of a comma-separated list of ``parse`` values, blanks skipped."""
+    return lambda value: tuple(parse(v) for v in value.split(",") if v.strip())
+
+
+# each key's parser; a ValueError it raises becomes a line-numbered ConfigError
 _SCHEMA = {
     "grid": {"nx": int, "ny": int, "cell_size": _finite},
     "materials": {"card": str, "frame": str, "dense": str, "soft": str,
                   "soft_density_scale": _finite,
                   "interpolation_exponent": _finite},
-    "optimize": {"target_f_hz": _finite, "alpha": _finite, "dt": _finite, "c1": str,
+    "optimize": {"target_f_hz": _finite, "alpha": _finite, "dt": _finite,
+                 "c1": lambda v: None if v.lower() == "auto" else _finite(v),
                  "max_iters": int, "stop_tol": _finite, "delta_tol": _finite,
                  "frame_fraction": _finite, "snapshot_every": int},
-    "analysis": {"viscosities": str, "f_min_hz": _finite, "f_max_hz": _finite,
-                 "samples": int, "band_top_hz": _finite,
+    "analysis": {"viscosities": _listed(_finite), "f_min_hz": _finite,
+                 "f_max_hz": _finite, "samples": int, "band_top_hz": _finite,
                  "panel_cells": int, "macro_nx": int,
                  "kappa_samples": int, "bloch_branches": int},
-    "output": {"dir": str, "stages": str, "level_set_file": str},
+    "output": {"dir": str, "stages": _listed(str.strip),
+               "level_set_file": lambda v: v or None},
 }
 
 # keys of earlier versions that still parse and are ignored
@@ -155,18 +163,8 @@ def parse_config(text: str, path: str | None = None) -> PipelineConfig:
                 continue
             if key not in _SCHEMA[sec]:
                 raise ConfigError(f"line {lineno}: unknown key '{key}' in [{sec}]")
-            attr = _FIELD_OF.get((sec, key), key)
             try:
-                if key == "c1":
-                    cfg.c1 = None if value.lower() == "auto" else _finite(value)
-                elif key == "viscosities":
-                    cfg.viscosities = tuple(_finite(v) for v in value.split(",") if v.strip())
-                elif key == "stages":
-                    cfg.stages = tuple(s.strip() for s in value.split(",") if s.strip())
-                elif key == "level_set_file":
-                    cfg.level_set_file = value or None
-                else:
-                    setattr(cfg, attr, _SCHEMA[sec][key](value))
+                setattr(cfg, _FIELD_OF.get((sec, key), key), _SCHEMA[sec][key](value))
             except ValueError as err:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {err}") from err
     return cfg

@@ -9,9 +9,15 @@ kinematic operators used by homogenization and optimization:
 * the linear-field basis Y (ndof x 3) with B_mu Y = I,
 * the rigid-translation basis I_rigid (ndof x 2) with N_mu I_rigid = I,
 * one master-slave map per boundary condition (each dof follows at most one
-  master), the real 0/1 operator P that expands through it, and ``reduce``,
-  the one way to form P^T A P. Every map is real: ``dispersion`` builds the
-  Bloch pencil from two real parts of the unpinned periodic map.
+  master) and the real 0/1 operator P that expands through it. Every map is
+  real: ``dispersion`` builds the Bloch pencil from two real parts of the
+  unpinned periodic map.
+
+``assemble`` and ``damping_matrix`` form P^T A P, the one way to reduce a
+constrained system, by summing the element blocks straight into its
+reduced pattern (equation-number assembly, Hughes, *The Finite Element
+Method*, 1987, ch. 2), exact zeros dropped: the full M, the identity map's
+case, stores no x-y couplings.
 
 Quadrature is 2x2 Gauss (weights 1), exact for the bilinear element on the
 uniform rectangular grids used here.
@@ -32,7 +38,6 @@ from .materials import GaussPointFields, deviatoric_voigt, volumetric_voigt
 _G = 1.0 / np.sqrt(3.0)
 # Gauss points ordered like the element corners so point g is nearest node g.
 GAUSS_POINTS = np.array([[-_G, -_G], [_G, -_G], [_G, _G], [-_G, _G]])
-GAUSS_WEIGHTS = np.ones(4)
 
 
 def shape_functions(xi: float, eta: float) -> np.ndarray:
@@ -90,61 +95,96 @@ def _element_templates(hx: float, hy: float):
     return moduli, mass
 
 
-def stiffness_blocks(grid: StructuredGrid, K: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Per-element (ne, 8, 8) integrals of B^T (K VOL + G DEV) B for (ne, 4)
-    Gauss-point moduli: the stiffness blocks for (K, G), the damping blocks
-    for (0, mu_visc). One product, so no per-modulus block array is built."""
+def stiffness_blocks(grid: StructuredGrid, K: np.ndarray, G: np.ndarray,
+                     entries=slice(None)) -> np.ndarray:
+    """Per-element integrals of B^T (K VOL + G DEV) B for (ne, 4) Gauss-point
+    moduli, flattened to (ne, 64), or the columns ``entries``: the stiffness
+    blocks for (K, G), the damping blocks for (0, mu_visc). One product, so
+    no per-modulus block array is built."""
     moduli, _ = _element_templates(grid.hx, grid.hy)
-    return (np.concatenate((K, G), axis=1) @ moduli).reshape(-1, 8, 8)
+    return np.concatenate((K, G), axis=1) @ moduli[:, entries]
 
 
-def mass_blocks(grid: StructuredGrid, rho: np.ndarray) -> np.ndarray:
-    """Per-element (ne, 8, 8) consistent mass blocks for Gauss-point rho."""
+def mass_blocks(grid: StructuredGrid, rho: np.ndarray, entries=slice(None)) -> np.ndarray:
+    """Per-element consistent mass blocks for Gauss-point rho, flattened as
+    in ``stiffness_blocks``."""
     _, mass = _element_templates(grid.hx, grid.hy)
-    return (rho @ mass).reshape(-1, 8, 8)
-
-
-def _csr_slots(rows: np.ndarray, cols: np.ndarray, n: int):
-    """CSR ``indptr``/``indices`` of the (row, col) pairs plus each pair's slot."""
-    keys, slot = np.unique(rows.astype(np.int64, copy=False) * n + cols, return_inverse=True)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return indptr, (keys % n).astype(np.int32), slot
+    return rho @ mass[:, entries]
 
 
 @functools.lru_cache(maxsize=8)
-def _pattern(ndof: int, dof_bytes: bytes):
-    """CSR ``indptr``/``indices`` of one connectivity plus the slot of every
-    element-block entry, keyed by the raw element-dof array. The arrays are
-    read-only because every matrix of the connectivity shares them."""
+def _full_slots(ndof: int, dof_bytes: bytes):
+    """Slot map (see ``_slot_map``) of the full matrix, the identity map's,
+    keyed by the raw element-dof array."""
     dofs = np.frombuffer(dof_bytes, dtype=np.int64).reshape(-1, 8)
-    indptr, indices, slot = _csr_slots(np.repeat(dofs, 8, axis=1).ravel(),
-                                       np.tile(dofs, (1, 8)).ravel(), ndof)
-    for arr in (indptr, indices, slot):
-        arr.flags.writeable = False
-    return indptr, indices, slot
+    keys, slot = np.unique(np.repeat(dofs, 8, axis=1) * ndof + np.tile(dofs, (1, 8)),
+                           return_inverse=True)
+    indptr = np.zeros(ndof + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // ndof, minlength=ndof), out=indptr[1:])
+    # int32 halves the slot arrays kept per map; bincount widens them per call
+    return (np.arange(64), slot.astype(np.int32).ravel(), indptr,
+            (keys % ndof).astype(np.int32), np.empty(0, dtype=np.intp))
 
 
-def _scatter(grid: StructuredGrid, blocks: np.ndarray) -> sparse.csr_matrix:
-    """Sum (ne, 8, 8) element blocks into the connectivity's fixed pattern."""
-    indptr, indices, slot = _pattern(grid.ndof, grid.element_dofs().tobytes())
-    data = np.bincount(slot, weights=blocks.ravel(), minlength=len(indices))
-    return sparse.csr_matrix((data, indices, indptr), shape=(grid.ndof, grid.ndof))
+def _slot_map(grid: StructuredGrid, columns: np.ndarray, n: int):
+    """(used, slot, indptr, indices, merge) of assembly through the map of
+    dof i to column ``columns[i]`` of n (-1: prescribed). Only the ``used``
+    flat block entries (of 64) are kept anywhere; ``slot`` sends each to its
+    reduced CSR slot, or to the last (trash) one. Full entries that share a
+    reduced one (periodic edges, a rigid frame) are summed in own slots past
+    the reduced ones, then added into theirs, ``merge``, in full CSR order
+    as P^T A P adds them: bitwise the reduction of the full matrix."""
+    _, full_slot, full_indptr, full_indices, _ = _full_slots(
+        grid.ndof, grid.element_dofs().tobytes())
+    rows = columns[np.repeat(np.arange(grid.ndof), np.diff(full_indptr))]
+    cols = columns[full_indices]
+    kept = (rows >= 0) & (cols >= 0)   # of each full entry
+    red_keys, red = np.unique(rows[kept] * n + cols[kept], return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(red_keys // n, minlength=n), out=indptr[1:])
+    merged = np.bincount(red)[red] > 1
+    first, nm = red.copy(), np.count_nonzero(merged)
+    first[merged] = len(red_keys) + np.arange(nm)
+    to = np.full(len(full_indices), len(red_keys) + nm, dtype=np.int32)
+    to[kept] = first
+    blocks = full_slot.reshape(-1, 64)
+    used = np.flatnonzero(kept[blocks].any(axis=0))
+    return (used, to[blocks[:, used]].ravel(), indptr, (red_keys % n).astype(np.int32),
+            red[merged])
 
 
-def assemble(grid: StructuredGrid, fields: GaussPointFields):
-    """Global (M, K) csr matrices from Gauss-point material fields; the
+def _scatter(slots, entries: np.ndarray) -> sparse.csr_matrix:
+    """Sum the (ne, len(used)) block entries into the reduced pattern of
+    ``slots``, in element order, exact zeros dropped."""
+    _, slot, indptr, indices, merge = slots
+    n, m = len(indices), len(merge)
+    sums = np.bincount(slot, weights=entries.ravel(), minlength=n + m + 1)
+    data = sums[:n] + np.bincount(merge, weights=sums[n:n + m], minlength=n)
+    nonzero = data != 0
+    indptr = np.concatenate(([0], np.cumsum(nonzero, dtype=np.int32)))[indptr]
+    return sparse.csr_matrix((data[nonzero], indices[nonzero], indptr),
+                             shape=(len(indptr) - 1,) * 2)
+
+
+def assemble(grid: StructuredGrid, fields: GaussPointFields,
+             ops: ConstraintOperators | None = None):
+    """(M, K) csr matrices from Gauss-point material fields: P^T (M, K) P
+    under the map of ``ops``, the full matrices without it. The
     viscosity-dependent damping matrix comes from ``damping_matrix``."""
     fields.validate()
-    return (_scatter(grid, mass_blocks(grid, fields.rho)),
-            _scatter(grid, stiffness_blocks(grid, fields.K, fields.G)))
+    slots = _full_slots(grid.ndof, grid.element_dofs().tobytes()) if ops is None else ops.slots
+    return (_scatter(slots, mass_blocks(grid, fields.rho, slots[0])),
+            _scatter(slots, stiffness_blocks(grid, fields.K, fields.G, slots[0])))
 
 
-def damping_matrix(grid: StructuredGrid, fields: GaussPointFields) -> sparse.csr_matrix:
-    """Global damping csr matrix alone, the only viscosity-dependent one."""
+def damping_matrix(grid: StructuredGrid, fields: GaussPointFields,
+                   ops: ConstraintOperators | None = None) -> sparse.csr_matrix:
+    """Damping csr matrix alone, the only viscosity-dependent one: P^T C P
+    under the map of ``ops``, the full matrix without it."""
     fields.validate()
-    return _scatter(grid, stiffness_blocks(grid, np.zeros_like(fields.mu_visc),
-                                           fields.mu_visc))
+    slots = _full_slots(grid.ndof, grid.element_dofs().tobytes()) if ops is None else ops.slots
+    zero = np.zeros_like(fields.mu_visc)
+    return _scatter(slots, stiffness_blocks(grid, zero, fields.mu_visc, slots[0]))
 
 
 def averaging_operators(grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -195,15 +235,21 @@ class BoundaryCondition(enum.Enum):
 @dataclass(frozen=True)
 class ConstraintOperators:
     """Kinematic operators of a cell under one master-slave map: P expands
-    through it, ``slots`` serve ``reduce``."""
+    through it, ``columns`` holds each dof's column of P (-1: prescribed)."""
 
     P: sparse.csr_matrix
     grid: StructuredGrid = field(repr=False)
-    slots: tuple = field(repr=False)
+    columns: np.ndarray = field(repr=False)
 
     @property
     def nfree(self) -> int:
         return self.P.shape[1]
+
+    @functools.cached_property
+    def slots(self):
+        """Slot map of assembly through this map (see ``_slot_map``), built on
+        first use: the Bloch map never assembles through itself."""
+        return _slot_map(self.grid, self.columns, self.nfree)
 
     @functools.cached_property
     def _bases(self):
@@ -212,22 +258,6 @@ class ConstraintOperators:
         return averaging_operators(self.grid) + kinematic_basis(self.grid)
 
     N_mu, B_mu, Y, I_rigid = (property(lambda self, k=k: self._bases[k]) for k in range(4))
-
-
-def _slot_map(grid: StructuredGrid, columns: np.ndarray, P):
-    """Assembly pattern, kept entries (P selects) or each entry's reduced slot (one
-    past the last if prescribed), and reduced pattern."""
-    indptr, indices, _ = _pattern(grid.ndof, grid.element_dofs().tobytes())
-    rows = np.repeat(np.arange(grid.ndof, dtype=np.int32), np.diff(indptr))
-    r, c = columns[rows], columns[indices]
-    kept = (r >= 0) & (c >= 0)
-    red_indptr, red_indices, kept_slot = _csr_slots(r[kept], c[kept], P.shape[1])
-    if P.nnz == P.shape[1]:   # P selects dofs in order: gather the kept entries
-        keep, slot = np.flatnonzero(kept).astype(np.int32), None
-    else:   # intp: bincount would convert any other index type on every call
-        keep, slot = None, np.full(len(indices), len(red_indices), dtype=np.intp)
-        slot[kept] = kept_slot
-    return indptr, indices, keep, slot, red_indptr, red_indices
 
 
 def _check_periodic_pairs(grid: StructuredGrid):
@@ -275,24 +305,7 @@ def build_constraints(grid: StructuredGrid, bc: BoundaryCondition,
     rows = np.flatnonzero(columns >= 0)
     P = sparse.csr_matrix((np.ones(len(rows)), (rows, columns[rows])),
                           shape=(grid.ndof, width * len(order)))
-    return ConstraintOperators(P=P, grid=grid, slots=_slot_map(grid, columns, P))
-
-
-def reduce(A: sparse.csr_matrix, ops: ConstraintOperators) -> sparse.csr_matrix:
-    """P^T A P for A on the grid's assembly pattern: A's stored entries summed
-    in the order a sparse product P^T (A P) adds them, exact zeros dropped as
-    it drops them. The one exception is a rigid frame's own entry: the
-    product sums each row's part first."""
-    indptr, indices, keep, slot, red_indptr, red_indices = ops.slots
-    if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
-        raise ValueError("matrix is not on the grid's assembly pattern")
-    n = len(red_indices)
-    data = (A.data[keep] if slot is None
-            else np.bincount(slot, weights=A.data, minlength=n + 1)[:n])
-    nonzero = data != 0
-    indptr = np.concatenate(([0], np.cumsum(nonzero, dtype=np.int32)))[red_indptr]
-    return sparse.csr_matrix((data[nonzero], red_indices[nonzero], indptr),
-                             shape=(ops.nfree,) * 2)
+    return ConstraintOperators(P=P, grid=grid, columns=columns)
 
 
 def gauss_displacements(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:

@@ -141,19 +141,19 @@ def _align_degenerate(sol: modal.ModalSolution, coupling: np.ndarray,
     return modal.ModalSolution(vals, modes, sol.residuals), coupling
 
 
-def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, modes_below: int,
-                            delta_tol: float = 1e-3,
+def reduced_inertial_system(M, Kr, Mr, P, I_rigid, volume: float, rho_bar: float,
+                            modes_below: int, delta_tol: float = 1e-3,
                             factor: modal.ShiftInvert | None = None) -> CellModes:
     """Modal reduction of the constrained inertial problem.
 
     Solves the undamped constrained pencil (Kr, Mr) = P^T (K, M) P, shifted
     by zero (``factor``, when given, is that factorization), once for its
     ``modes_below`` smallest modes, the count below the mode ceiling, and
-    keeps those with significant momentum coupling; none may couple. The
+    keeps those with significant momentum coupling (against a rigid
+    translation of mean density ``rho_bar``); none may couple. The
     coupling columns are scaled so that Q Q^T carries density units, making
     rho_eff a true density.
     """
-    rho_bar = modal.average_density(M, I_rigid, volume)
     if modes_below > 0:
         sol = modal.solve_smallest(Kr, Mr, modes_below, factor=factor)
     else:
@@ -179,11 +179,10 @@ def cell_modes(grid: StructuredGrid, fields: GaussPointFields, delta_tol: float 
     An inertia count of the pencil at ``keep_below_hz`` says how many modes
     lie below it, and one eigensolve computes exactly those.
     """
-    M, K = fem.assemble(grid, fields)
     ops = fem.build_constraints(grid, fem.BoundaryCondition.PERIODIC_PINNED)
     volume = grid.area
-    Kr = fem.reduce(K, ops)
-    Mr = fem.reduce(M, ops)
+    M, K = fem.assemble(grid, fields)
+    Mr, Kr = fem.assemble(grid, fields, ops)
     # counted first: its factorization is freed before the zero-shift one exists
     modes_below = modal.count_below(Kr, Mr, (2.0 * math.pi * keep_below_hz) ** 2)
     # one factorization serves the quasi-static solve and the eigensolve
@@ -192,8 +191,9 @@ def cell_modes(grid: StructuredGrid, fields: GaussPointFields, delta_tol: float 
     except SolverFailureError as err:
         raise ConstraintError(f"reduced stiffness singular: {err}") from err
     C_eff, Y_tilde = quasi_static(K, ops, volume, factor)
-    red = reduced_inertial_system(M, Kr, Mr, ops.P, ops.I_rigid, volume, modes_below,
-                                  delta_tol=delta_tol, factor=factor)
+    rho_bar = float(fields.rho.mean())   # <rho>: every Gauss point weighs the same
+    red = reduced_inertial_system(M, Kr, Mr, ops.P, ops.I_rigid, volume, rho_bar,
+                                  modes_below, delta_tol=delta_tol, factor=factor)
     return replace(red, C_eff=C_eff, Y_tilde=Y_tilde, ops=ops)
 
 
@@ -206,7 +206,7 @@ def effective_material(cell: CellModes, fields: GaussPointFields) -> EffectiveMa
     C = fem.damping_matrix(grid, fields)
     eta_eff = (cell.Y_tilde.T @ (C @ cell.Y_tilde)) / volume
     eta_eff = 0.5 * (eta_eff + eta_eff.T)
-    Cr = fem.reduce(C, cell.ops)
+    Cr = fem.damping_matrix(grid, fields, cell.ops)
     # one projection gives the kept block and its leakage into the dropped modes
     proj = sol.modes.T @ (Cr @ sol.modes[:, kept])
     omega_d = proj[kept]

@@ -8,12 +8,13 @@ a fixed vector. Two builders make that factorization, and a failed one is
 a solver failure:
 
 - ``band_shift_invert``, for the optimizer's two pencils: a LAPACK band
-  Cholesky. Both optimizer maps number their free nodes row-major with one
-  x-dof per node, so past dof 0 each pencil is a band whose half-bandwidth
-  is one node row plus one (18 at 20x20, 54 at 60x60). Dof 0 of the free
-  pencil is the frame translation, coupled to every frame-adjacent node;
-  it is eliminated last, as a one-dof border, through its scalar Schur
-  complement.
+  Cholesky. The optimizer's free map numbers the frame translation first
+  and then the free nodes row-major with one x-dof per node, and its
+  restricted pencil is the free one without dof 0. Past dof 0 each pencil
+  is a band whose half-bandwidth is one node row plus one (18 at 20x20, 54
+  at 60x60). Dof 0 of the free pencil, the frame translation, couples to
+  every frame-adjacent node; it is eliminated last, as a one-dof border,
+  through its scalar Schur complement.
 - ``shift_invert``, for every other pencil: a sparse LU. The periodic
   wrap of the homogenization and Bloch pencils couples opposite edges, so
   their band would be about n wide.
@@ -301,13 +302,6 @@ def momentum_coupling(sol: ModalSolution, M, P, I_rigid, volume: float) -> np.nd
 def mean_displacement(sol: ModalSolution, N_mu, P) -> np.ndarray:
     """Volume-averaged displacement <phi> per mode, shape (d, k)."""
     return np.asarray(N_mu @ (P @ sol.modes))
-
-
-def average_density(M, I_rigid, volume: float) -> float:
-    """<rho> recovered from the assembled mass matrix."""
-    d = I_rigid.shape[1]
-    tot = sum(float(I_rigid[:, j] @ (M @ I_rigid[:, j])) for j in range(d))
-    return tot / (d * volume)
 
 
 def filter_relevant_restricted(sol: ModalSolution, coupling: np.ndarray,

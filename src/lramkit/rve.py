@@ -103,9 +103,9 @@ def scaled_phases(frame: MaterialPhase, dense: MaterialPhase, soft: MaterialPhas
                   exponent: float = 2.0) -> PhaseSet:
     """Optimization-stage phases: massless coating.
 
-    The frame keeps its true properties. The optimizer's constraint maps
-    hold it rigid, and there its stiffness cancels only to roundoff, which
-    any stiffness scaling would amplify (``topopt.constraint_maps``).
+    The frame keeps its true properties. The optimizer's constraint map
+    holds it rigid, and there its stiffness cancels only to roundoff, which
+    any stiffness scaling would amplify (``topopt.constraint_map``).
     """
     return PhaseSet(frame=frame, dense=dense,
                     soft=soft.scaled(density=soft_density_scale, suffix="*"),

@@ -208,67 +208,60 @@ class OptimizeResult:
         return (math.sqrt(c.lambda1) - math.sqrt(c.lambda_star1)) / (2.0 * math.pi)
 
 
-def constraint_maps(layout: rve.CellLayout):
-    """(restricted, unrestricted) maps of the optimizer: every vertical dof
-    prescribed, and the frame (every node of a frame element) prescribed or
-    following one translation dof."""
+def constraint_map(layout: rve.CellLayout) -> fem.ConstraintOperators:
+    """The optimizer's free map: every vertical dof prescribed, and the frame
+    (every node of a frame element) following one translation dof, column 0.
+    The restricted map prescribes the frame instead; it is this map without
+    column 0, so its pencil is the free pencil's [1:, 1:] block."""
     grid = layout.grid
     frame = np.isin(np.arange(grid.nnode), grid.elements[~layout.design_elements])
-    return tuple(fem.build_constraints(grid, bc, horizontal_only=True, frame=frame)
-                 for bc in (fem.BoundaryCondition.FULLY_PRESCRIBED,
-                            fem.BoundaryCondition.FREE))
-
-
-def _solve_relevant(K, M, ops, volume, rho_bar, count, delta_tol, shift,
-                    restricted: bool):
-    """Smallest modes of the reduced pencil plus relevance indices, on one
-    band Cholesky of K - shift M (see ``modal.band_shift_invert``)."""
-    P = ops.P
-    Kr = fem.reduce(K, ops)
-    Mr = fem.reduce(M, ops)
-
-    def relevant(sol):
-        if restricted:
-            coupling = modal.momentum_coupling(sol, M, P, ops.I_rigid, volume)
-            return modal.filter_relevant_restricted(
-                sol, coupling, math.sqrt(rho_bar / volume), delta_tol)
-        mean = modal.mean_displacement(sol, ops.N_mu, P)
-        return modal.filter_relevant_unrestricted(
-            sol, mean, 1.0 / math.sqrt(rho_bar * volume), delta_tol)
-
-    return modal.solve_relevant(Kr, Mr, count, relevant,
-                                partial(modal.band_shift_invert, shift=shift))
+    return fem.build_constraints(grid, fem.BoundaryCondition.FREE, horizontal_only=True,
+                                 frame=frame)
 
 
 def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,
-                   settings: OptimizerSettings, ops_restricted, ops_free,
+                   settings: OptimizerSettings, ops: fem.ConstraintOperators,
                    bound: float = math.inf) -> DesignAnalysis | None:
-    """Assemble and solve both reduced modal problems for one design.
+    """Assemble the reduced free pencil of one design under ``ops``, the
+    ``constraint_map``, and solve its restricted block and itself.
 
-    Returns None, without reducing or solving the free pencil, when the fit
+    The x-translation I_x is the free map's all-ones vector, so the
+    restricted momentum coupling P_r^T M I_x is the free M's row sums past
+    row 0. Returns None, without solving the free pencil, when the fit
     share alpha f^2 of the restricted solve alone reaches ``bound``: the
     cost Pi = alpha f^2 + (1 - alpha) g^2 cannot then fall below it.
     """
-    grid = layout.grid
-    M, K = fem.assemble(grid, rve.material_fields(layout, chi, phases))
-    volume = grid.area
-    # both maps share I_rigid: it depends on the grid alone
-    rho_bar = modal.average_density(M, ops_restricted.I_rigid, volume)
+    volume = layout.grid.area
+    fields = rve.material_fields(layout, chi, phases)
+    M, K = fem.assemble(layout.grid, fields, ops)
+    rho_bar = float(fields.rho.mean())   # <rho>: every Gauss point weighs the same
+    momentum = (M @ np.ones(ops.nfree))[1:]
 
-    sol_r, rel_r = _solve_relevant(K, M, ops_restricted, volume, rho_bar, MODAL_COUNT,
-                                   settings.delta_tol, shift=0.0, restricted=True)
+    def restricted_relevant(sol):
+        coupling = (momentum @ sol.modes)[None] / volume
+        return modal.filter_relevant_restricted(
+            sol, coupling, math.sqrt(rho_bar / volume), settings.delta_tol)
+
+    def free_relevant(sol):
+        mean = modal.mean_displacement(sol, ops.N_mu, ops.P)
+        return modal.filter_relevant_unrestricted(
+            sol, mean, 1.0 / math.sqrt(rho_bar * volume), settings.delta_tol)
+
+    sol_r, rel_r = modal.solve_relevant(K[1:, 1:], M[1:, 1:], MODAL_COUNT,
+                                        restricted_relevant, modal.band_shift_invert)
     lam_s = float(sol_r.eigenvalues[rel_r[0]])
     f = fit_term(lam_s, settings.lambda_target)
     if settings.alpha * f * f >= bound:
         return None
 
     shift_free = -(2.0 * math.pi * max(settings.target_f_hz / 10.0, 10.0)) ** 2
-    sol_u, rel_u = _solve_relevant(K, M, ops_free, volume, rho_bar, MODAL_COUNT + 1,
-                                   settings.delta_tol, shift=shift_free, restricted=False)
+    sol_u, rel_u = modal.solve_relevant(K, M, MODAL_COUNT + 1, free_relevant,
+                                        partial(modal.band_shift_invert, shift=shift_free))
     lam_u = float(sol_u.eigenvalues[rel_u[0]])
     cost = evaluate_cost(lam_s, lam_u, settings.lambda_target, settings.alpha)
-    mode_star = np.asarray(ops_restricted.P @ sol_r.modes[:, rel_r[0]]).ravel()
-    mode_free = np.asarray(ops_free.P @ sol_u.modes[:, rel_u[0]]).ravel()
+    # the restricted map prescribes the frame translation, column 0
+    mode_star = ops.P @ np.concatenate(([0.0], sol_r.modes[:, rel_r[0]]))
+    mode_free = ops.P @ sol_u.modes[:, rel_u[0]]
     return DesignAnalysis(chi=chi, restricted=sol_r, unrestricted=sol_u,
                           relevant_restricted=rel_r, relevant_unrestricted=rel_u,
                           mode_star=mode_star, mode_free=mode_free, cost=cost)
@@ -326,12 +319,12 @@ def sensitivity_field(layout: rve.CellLayout, analysis: DesignAnalysis,
     return nodal
 
 
-def hj_step(state: LevelSetState, sensitivity: np.ndarray, dt: float, c1: float,
-            clamp: float = CLAMP) -> LevelSetState:
-    """One explicit pseudo-time update of the level set on the design domain."""
+def hj_step(state: LevelSetState, sensitivity: np.ndarray, dt: float,
+            c1: float) -> LevelSetState:
+    """One explicit pseudo-time update of phi on the design domain, within CLAMP."""
     phi = state.phi.copy()
     mask = state.layout.design_nodes
-    phi[mask] = np.clip(phi[mask] - dt * c1 * sensitivity[mask], -clamp, clamp)
+    phi[mask] = np.clip(phi[mask] - dt * c1 * sensitivity[mask], -CLAMP, CLAMP)
     return replace(state, phi=phi, iteration=state.iteration + 1)
 
 
@@ -399,11 +392,11 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
             f"target {settings.target_f_hz:.1f} Hz is below the feasibility limit "
             f"{omega_min / (2.0 * math.pi):.1f} Hz for a {grid.cell_size} m cell")
 
-    ops_r, ops_u = constraint_maps(layout)
+    ops = constraint_map(layout)
 
     state = LevelSetState(layout=layout, phi=np.full(grid.nnode, PHI0))
     current = analyze_design(layout, rve.chi_at_gauss(layout, state.phi), phases,
-                             settings, ops_r, ops_u)
+                             settings, ops)
     state.history.append(_history_row(0, current.cost, layout, current.chi))
     if observer is not None:
         observer(0, state.phi.copy(), state.history[-1])
@@ -444,8 +437,7 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
         bound = (current if best is None else best[0]).cost.Pi
         analyses += 1
         try:
-            cand = analyze_design(layout, chi_t, phases, settings, ops_r, ops_u,
-                                  bound=bound)
+            cand = analyze_design(layout, chi_t, phases, settings, ops, bound=bound)
         except (NoRelevantModeError, SolverFailureError, ValueError):
             return   # degenerate candidate (no resonator left, solver trouble)
         if cand is None:

@@ -372,10 +372,9 @@ class TestSupplementaryInvariants:
                                    materials["silicone_rubber"])
         for alpha, (res, _) in designs.items():
             settings = res.settings
-            ops_r, ops_u = topopt.constraint_maps(cell_layout)
             chi = rve.chi_at_gauss(cell_layout, res.state.phi)
             fresh = topopt.analyze_design(cell_layout, chi, phases, settings,
-                                          ops_r, ops_u)
+                                          topopt.constraint_map(cell_layout))
             assert fresh.lambda_star1 == pytest.approx(res.analysis.lambda_star1,
                                                        rel=1e-10)
             assert fresh.lambda1 == pytest.approx(res.analysis.lambda1, rel=1e-10)

@@ -74,10 +74,10 @@ class TestSingleThreaded:
         xy = g.coords - g.centroid
         chi = rve.chi_at_gauss(layout, 0.003 - np.hypot(xy[:, 0], xy[:, 1]))
         st = topopt.OptimizerSettings(target_f_hz=1000.0, alpha=0.5)
-        ops_r, ops_u = topopt.constraint_maps(layout)
-        outside = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
+        ops = topopt.constraint_map(layout)
+        outside = topopt.analyze_design(layout, chi, phases, st, ops)
         with blas.single_threaded():
-            inside = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
+            inside = topopt.analyze_design(layout, chi, phases, st, ops)
         assert inside.cost == outside.cost
         np.testing.assert_array_equal(inside.mode_star, outside.mode_star)
         np.testing.assert_array_equal(inside.mode_free, outside.mode_free)

@@ -222,8 +222,7 @@ def _oracle_pencil(g, fields, kappa):
 @pytest.mark.parametrize("kL", [0.0, 0.3 * np.pi, -np.pi])
 def test_bloch_pencil_is_the_phased_product(grid_name, kL):
     """The pencil built from the two real parts equals T^H A T through the
-    node-by-node Bloch map, for M (whose pattern stores the zero x-y
-    couplings), K and C."""
+    node-by-node Bloch map, for M, K and C."""
     g = _map_grid(grid_name)
     ops = fem.build_constraints(g, fem.BoundaryCondition.PERIODIC)
     P0, P1 = dispersion._split_rows(ops)

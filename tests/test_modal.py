@@ -216,7 +216,7 @@ class TestOrdering:
             return bands[-1]
 
         monkeypatch.setattr(modal.dla, "cholesky_banded", keeping)
-        topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        topopt.analyze_design(layout, chi, phases, st, topopt.constraint_map(layout))
         # past the border: 288 and 289 dofs, half-bandwidth one node row plus one
         assert [band.shape for band in bands] == [(19, 288), (19, 289)]
         # stored entries: the band plus the border column w = B^-1 c
@@ -230,9 +230,9 @@ class TestOrdering:
         layout, phases, chi, st = steel_disk
         g = layout.grid
         fields = rve.material_fields(layout, chi, rve.PhaseSet(epoxy, steel, rubber))
-        ops = topopt.constraint_maps(layout)
+        ops = topopt.constraint_map(layout)
         optimizer = self._factors(
-            monkeypatch, lambda: topopt.analyze_design(layout, chi, phases, st, *ops))
+            monkeypatch, lambda: topopt.analyze_design(layout, chi, phases, st, ops))
         cell = self._factors(monkeypatch, lambda: homogenize.cell_modes(g, fields))
         bloch = self._factors(monkeypatch, lambda: dispersion._BlochCell(g, fields))
         assert (len(optimizer), len(cell), len(bloch)) == (0, 2, 1)
@@ -258,7 +258,7 @@ class TestBandShiftInvert:
             return build(K, M, shift)
 
         monkeypatch.setattr(modal, "band_shift_invert", recording)
-        topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        topopt.analyze_design(layout, chi, phases, st, topopt.constraint_map(layout))
         monkeypatch.undo()
         return dict(zip(("restricted", "free"), calls))
 
@@ -327,7 +327,7 @@ class TestRestrictedRelevance:
         I_rigid = np.ones((3, 1))
         Msp = sparse.csr_matrix(M)
         coupling = modal.momentum_coupling(sol, Msp, P, I_rigid, 1.0)
-        rho_bar = modal.average_density(Msp, I_rigid, 1.0)
+        rho_bar = M.sum()   # <rho> of the chain: its mass over unit volume
         rel = modal.filter_relevant_restricted(sol, coupling, np.sqrt(rho_bar))
         assert 1 not in rel            # antisymmetric mode dropped
         assert 0 in rel
@@ -343,20 +343,18 @@ class TestRestrictedRelevance:
         coupling = modal.momentum_coupling(sol2, Msp, P, I_rigid, 1.0)
         with pytest.raises(NoRelevantModeError):
             modal.filter_relevant_restricted(
-                sol2, coupling, np.sqrt(modal.average_density(Msp, I_rigid, 1.0)))
+                sol2, coupling, np.sqrt(M.sum()))
 
 
 class TestUnrestrictedRelevance:
     def _free_chain(self, m1, m2, k=4.0):
         K, M = chain_matrices([m1, m2], [0.0, k, 0.0])
         sol = modal.solve_smallest(K, M, 2)
-        Msp = sparse.csr_matrix(M)
         P = sparse.identity(2, format="csr")
-        I_rigid = np.ones((2, 1))
         # volume-average with trivial operators: mean over entries
         N_mu = np.full((1, 2), 0.5)
         mean = modal.mean_displacement(sol, N_mu, P)
-        rho_bar = modal.average_density(Msp, I_rigid, 1.0)
+        rho_bar = M.sum()   # <rho> of the chain: its mass over unit volume
         return sol, mean, rho_bar
 
     def test_rigid_mode_excluded(self):

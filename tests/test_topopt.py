@@ -113,7 +113,7 @@ class TestHJStep:
 
     def test_clamped(self, state):
         sens = np.full_like(state.phi, -1.0)
-        out = topopt.hj_step(state, sens, dt=1.0, c1=100.0, clamp=10.0)
+        out = topopt.hj_step(state, sens, dt=1.0, c1=100.0)
         assert out.phi[state.layout.design_nodes].max() == pytest.approx(10.0)
 
 
@@ -140,9 +140,8 @@ class TestEigenSensitivity:
         layout = rve.build_layout(g)
         phases = rve.scaled_phases(epoxy, steel, rubber)
         st1 = topopt.OptimizerSettings(target_f_hz=1000.0, alpha=1.0)
-        ops_r, ops_u = topopt.constraint_maps(layout)
         chi = rve.chi_at_gauss(layout, np.ones(g.nnode))
-        ana = topopt.analyze_design(layout, chi, phases, st1, ops_r, ops_u)
+        ana = topopt.analyze_design(layout, chi, phases, st1, topopt.constraint_map(layout))
         field = topopt.sensitivity_field(layout, ana, phases, st1)
         # rebuild the same field by hand from the restricted mode only
         dlam = topopt._eigenvalue_sensitivity_gp(
@@ -222,9 +221,8 @@ class TestOptimize:
         layout = rve.build_layout(g)
         phases = rve.scaled_phases(epoxy, steel, rubber)
         probe = topopt.OptimizerSettings(target_f_hz=1000.0, alpha=1.0)
-        ops_r, ops_u = topopt.constraint_maps(layout)
         chi0 = rve.chi_at_gauss(layout, np.ones(g.nnode))
-        ana0 = topopt.analyze_design(layout, chi0, phases, probe, ops_r, ops_u)
+        ana0 = topopt.analyze_design(layout, chi0, phases, probe, topopt.constraint_map(layout))
         f0 = math.sqrt(ana0.lambda_star1) / (2 * math.pi)
 
         st = topopt.OptimizerSettings(target_f_hz=f0, alpha=1.0, max_iters=10)
@@ -278,6 +276,15 @@ class TestOptimize:
         assert res.analysis.cost.Pi == res.history[-1].Pi
 
 
+def _restricted_map(layout):
+    """The reference restricted map: every vertical dof and the frame (every
+    node of a frame element) prescribed."""
+    g = layout.grid
+    frame = np.isin(np.arange(g.nnode), g.elements[~layout.design_elements])
+    return fem.build_constraints(g, fem.BoundaryCondition.FULLY_PRESCRIBED,
+                                 horizontal_only=True, frame=frame)
+
+
 class TestOptimizerPencils:
     """Eigen residuals and eigenvalues of the optimizer's pencils (rigid
     frame, quasi-massless coating), on a steel disk at 20x20."""
@@ -289,8 +296,8 @@ class TestOptimizerPencils:
         xy = g.coords - g.centroid
         chi = rve.chi_at_gauss(layout, 0.003 - np.hypot(xy[:, 0], xy[:, 1]))
         st = topopt.OptimizerSettings(target_f_hz=1000.0, alpha=0.5)
-        ops_r, ops_u = topopt.constraint_maps(layout)
-        ana = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
+        ops = topopt.constraint_map(layout)
+        ana = topopt.analyze_design(layout, chi, phases, st, ops)
         assert ana.restricted.residuals.max() <= 1e-8
 
         # one ulp more on every stiffness entry: lambda*_1 must move as the
@@ -304,7 +311,7 @@ class TestOptimizerPencils:
             return M, K
 
         monkeypatch.setattr(fem, "assemble", bumped)
-        ana2 = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
+        ana2 = topopt.analyze_design(layout, chi, phases, st, ops)
         fields = rve.material_fields(layout, chi, phases)
         _, K = assemble(g, fields)
         _, K2 = bumped(g, fields)
@@ -319,47 +326,69 @@ class TestOptimizerPencils:
         that the position rule replaced (kept below as the reference)."""
         layout, phases, chi, st = steel_disk
         g = layout.grid
-        ops_r, ops_u = topopt.constraint_maps(layout)
-        ana = topopt.analyze_design(layout, chi, phases, st, ops_r, ops_u)
+        ops = topopt.constraint_map(layout)
+        ana = topopt.analyze_design(layout, chi, phases, st, ops)
 
         sol = ana.unrestricted
         fields = rve.material_fields(layout, chi, phases)
-        M, _ = fem.assemble(g, fields)
-        Mr = fem.reduce(M, ops_u)
-        t = np.ones(ops_u.nfree)   # x-translation, reduced: the frame is one dof
+        Mr, _ = fem.assemble(g, fields, ops)
+        t = np.ones(ops.nfree)   # x-translation, reduced: the frame is one dof
         proj = np.abs(sol.modes.T @ (Mr @ t)) / math.sqrt(t @ (Mr @ t))
         assert proj[0] >= 0.99
 
-        rho_bar = modal.average_density(M, ops_u.I_rigid, g.area)
-        mean = np.linalg.norm(modal.mean_displacement(sol, ops_u.N_mu, ops_u.P), axis=0)
+        rho_bar = fields.rho.mean()
+        mean = np.linalg.norm(modal.mean_displacement(sol, ops.N_mu, ops.P), axis=0)
         old_rule = ((sol.eigenvalues > 0.0) & (proj < 0.5)
                     & (mean > st.delta_tol / math.sqrt(rho_bar * g.area)))
         assert ana.relevant_unrestricted.tolist() == np.flatnonzero(old_rule).tolist()
 
     def test_maps_hold_the_frame_rigid(self):
-        """At 60x60 the 53x53 nodes off the frame stay free; the unrestricted
-        map adds the frame's one translation, column 0, on every frame x-dof."""
+        """At 60x60 the 53x53 nodes off the frame stay free; the free map adds
+        the frame's one translation, column 0, on every frame x-dof, and
+        without it is the restricted map, which prescribes the frame."""
         layout = rve.build_layout(build_grid(60, 60, 0.01))
-        ops_r, ops_u = topopt.constraint_maps(layout)
-        assert (ops_r.nfree, ops_u.nfree) == (2809, 2810)
+        ops = topopt.constraint_map(layout)
+        assert ops.nfree == 2810
         frame_dofs = 2 * np.unique(layout.grid.elements[~layout.design_elements])
-        np.testing.assert_array_equal(ops_u.P.getnnz(axis=1)[frame_dofs], 1)
-        assert ops_u.P[frame_dofs].indices.max() == 0
-        assert ops_r.P[frame_dofs].nnz == 0
+        np.testing.assert_array_equal(ops.P.getnnz(axis=1)[frame_dofs], 1)
+        assert ops.P[frame_dofs].indices.max() == 0
+        assert (ops.P[:, 1:] != _restricted_map(layout).P).nnz == 0
+
+    def test_restricted_pencil_is_the_prescribed_reduction(self, steel_disk, monkeypatch):
+        """The restricted pencil, the free one's [1:, 1:] block, is bitwise
+        P^T (K, M) P of the full assembly through the map that prescribes
+        the frame: each of its entries is one full entry."""
+        layout, phases, chi, st = steel_disk
+        pencils = []
+        build = modal.band_shift_invert
+
+        def recording(K, M, shift=0.0):
+            pencils.append((K, M))
+            return build(K, M, shift)
+
+        monkeypatch.setattr(modal, "band_shift_invert", recording)
+        topopt.analyze_design(layout, chi, phases, st, topopt.constraint_map(layout))
+        P = _restricted_map(layout).P
+        full = fem.assemble(layout.grid, rve.material_fields(layout, chi, phases))[::-1]
+        for red, A in zip(pencils[0], full):
+            ref = (P.T @ (A @ P)).tocsr()
+            ref.sort_indices()
+            assert red.shape == ref.shape and red.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(red, name), getattr(ref, name))
 
     def test_free_solve_accurate(self, steel_disk):
         """With the frame rigid by constraint, the free pencil's elastic modes
         meet the same residual bound as the restricted ones."""
         layout, phases, chi, st = steel_disk
-        ana = topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        ana = topopt.analyze_design(layout, chi, phases, st, topopt.constraint_map(layout))
         assert ana.unrestricted.residuals[1:].max() <= 1e-8
 
     def test_eigenvalues_are_rayleigh_quotients(self, steel_disk):
         layout, phases, chi, _ = steel_disk
-        ops_r, _ = topopt.constraint_maps(layout)
         fields = rve.material_fields(layout, chi, phases)
-        M, K = fem.assemble(layout.grid, fields)
-        Kr, Mr = fem.reduce(K, ops_r), fem.reduce(M, ops_r)
+        M, K = fem.assemble(layout.grid, fields, topopt.constraint_map(layout))
+        Kr, Mr = K[1:, 1:], M[1:, 1:]
         sol = modal.solve_smallest(Kr, Mr, 4)
         quotients = np.einsum("ij,ij->j", sol.modes, Kr @ sol.modes)
         np.testing.assert_allclose(sol.eigenvalues, quotients, rtol=1e-13, atol=0.0)
@@ -376,7 +405,7 @@ class TestOptimizerPencils:
             return solve(K, M, count, *args, **kwargs)
 
         monkeypatch.setattr(modal, "solve_smallest", counting)
-        ana = topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        ana = topopt.analyze_design(layout, chi, phases, st, topopt.constraint_map(layout))
         assert counts == [topopt.MODAL_COUNT, topopt.MODAL_COUNT + 1]
         assert ana.unrestricted.count >= topopt.MODAL_COUNT + 1
 
@@ -404,7 +433,8 @@ def pruned_runs(materials):
     layout = rve.build_layout(build_grid(20, 20, 0.01))
     phases = rve.scaled_phases(materials["epoxy"], materials["steel"],
                                materials["silicone_rubber"])
-    n_r, n_u = (ops.nfree for ops in topopt.constraint_maps(layout))
+    n_u = topopt.constraint_map(layout).nfree
+    n_r = n_u - 1   # the restricted pencil drops the frame translation
     runs = {}
     for target, alpha in _PRUNE_RUNS:
         counts = {"restricted": 0, "free": 0, "analyses": 0, "designs": 0}
@@ -473,21 +503,21 @@ class TestFreeSolvePrune:
         """None exactly when alpha f^2 >= bound; otherwise the unbounded result."""
         layout, phases, chi, st = steel_disk
         st = replace(st, alpha=alpha)
-        ops = topopt.constraint_maps(layout)
-        full = topopt.analyze_design(layout, chi, phases, st, *ops)
+        ops = topopt.constraint_map(layout)
+        full = topopt.analyze_design(layout, chi, phases, st, ops)
         f = topopt.fit_term(full.lambda_star1, st.lambda_target)
         assert f == full.cost.f
         share = alpha * f * f
         if alpha == 1.0:
             assert share == full.cost.Pi
-        assert topopt.analyze_design(layout, chi, phases, st, *ops, bound=share) is None
-        above = topopt.analyze_design(layout, chi, phases, st, *ops,
+        assert topopt.analyze_design(layout, chi, phases, st, ops, bound=share) is None
+        above = topopt.analyze_design(layout, chi, phases, st, ops,
                                       bound=math.nextafter(share, math.inf))
         _assert_same_analysis(above, full)
 
     def test_worst_elastic_residual_skips_the_translation(self, steel_disk):
         layout, phases, chi, st = steel_disk
-        ana = topopt.analyze_design(layout, chi, phases, st, *topopt.constraint_maps(layout))
+        ana = topopt.analyze_design(layout, chi, phases, st, topopt.constraint_map(layout))
         worst = ana.worst_elastic_residual()
         assert worst == max(ana.restricted.residuals.max(),
                             ana.unrestricted.residuals[1:].max())
