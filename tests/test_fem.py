@@ -319,3 +319,25 @@ class TestMasterSlaveMap:
                 np.testing.assert_array_equal(getattr(red, name), getattr(ref, name))
             np.testing.assert_array_equal(red.data[skip:], ref.data[skip:])
             assert red.data[0] == pytest.approx(ref.data[0], rel=1e-14)
+
+    def test_slot_map_is_reused_and_holds_no_fields(self, grid_name):
+        """Each map builds its slot map once, on first use, and keeps no
+        field data in it: assemblies of other fields through the same map,
+        and through a map of the same grid built anew, are each P^T A P of
+        their own full matrices."""
+        g = _map_grid(grid_name)
+        for bc, horizontal in REAL_MAPS:
+            ops = fem.build_constraints(g, bc, **_map_options(g, horizontal))
+            fresh = fem.build_constraints(g, bc, **_map_options(g, horizontal))
+            slots = ops.slots
+            for seed in (6, 7):
+                fields = _random_fields(np.random.default_rng(seed), g.nelem)
+                full = (*fem.assemble(g, fields), fem.damping_matrix(g, fields))
+                reduced = (*fem.assemble(g, fields, ops), fem.damping_matrix(g, fields, ops))
+                again = (*fem.assemble(g, fields, fresh), fem.damping_matrix(g, fields, fresh))
+                for A, red, red2 in zip(full, reduced, again):
+                    ref = (ops.P.T @ (A @ ops.P)).toarray()
+                    tol = 1e-14 * np.abs(ref).max()
+                    assert np.abs(red.toarray() - ref).max() <= tol
+                    assert np.abs(red2.toarray() - ref).max() <= tol
+            assert ops.slots is slots
