@@ -159,7 +159,9 @@ def _scatter(slots, entries: np.ndarray) -> sparse.csr_matrix:
     _, slot, indptr, indices, merge = slots
     n, m = len(indices), len(merge)
     sums = np.bincount(slot, weights=entries.ravel(), minlength=n + m + 1)
-    data = sums[:n] + np.bincount(merge, weights=sums[n:n + m], minlength=n)
+    data = sums[:n]
+    if m:
+        data = data + np.bincount(merge, weights=sums[n:n + m], minlength=n)
     nonzero = data != 0
     indptr = np.concatenate(([0], np.cumsum(nonzero, dtype=np.int32)))[indptr]
     return sparse.csr_matrix((data[nonzero], indices[nonzero], indptr),

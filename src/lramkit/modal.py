@@ -3,9 +3,8 @@
 Solves (K - lambda M) phi = 0, real symmetric or complex Hermitian, for the
 smallest eigenpairs with mass-normalized modes; each eigenvalue is the
 Rayleigh quotient v^H K v of its mode. K - sigma M is factored once
-per pencil and handed to ARPACK as the shift-invert operator, started from
-a fixed vector. Two builders make that factorization, and a failed one is
-a solver failure:
+per pencil and handed to ARPACK, started from a fixed vector. Two builders
+make that factorization, and a failed one is a solver failure:
 
 - ``band_shift_invert``, for the optimizer's two pencils: a LAPACK band
   Cholesky. The optimizer's free map numbers the frame translation first
@@ -18,6 +17,16 @@ a solver failure:
 - ``shift_invert``, for every other pencil: a sparse LU. The periodic
   wrap of the homogenization and Bloch pencils couples opposite edges, so
   their band would be about n wide.
+
+The band Cholesky K - sigma M = R^T R exports its two half-solves R^-1 and
+R^-T, and with them ARPACK runs in standard mode on the symmetric
+R^-T M R^-1 y = mu y (Ericsson & Ruhe, Math. Comp. 35, 1980): each step
+is two triangular band solves and one M product, and ARPACK makes no M
+products of its own. Each mu = 1 / (lambda - sigma) gives back
+lambda = sigma + 1 / mu, and each y the mode x = R^-1 y. Every other
+factor, an LU with no cheap half-solve, runs ARPACK in generalized
+shift-invert mode with M, which takes M products for its M-inner products
+as well.
 
 Bloch pencils hand in their own ``ShiftInvert``: one LU of the
 wavenumber-free interior, shared by every wavenumber, condensed onto a
@@ -56,6 +65,7 @@ the eigenvalue.
 from __future__ import annotations
 
 import gc
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,10 +100,16 @@ class ModalSolution:
 class ShiftInvert:
     """(K - sigma M)^-1 of one pencil: a band Cholesky or sparse LU
     factorization (``band_shift_invert``, ``shift_invert``), or any operator
-    that applies the same inverse."""
+    that applies the same inverse.
+
+    ``half_solves`` is (R^-1, R^-T) for a factor K - sigma M = R^T R that
+    has them (the band Cholesky), each taking an (n,) or (n, k) array;
+    ``solve_smallest`` then runs ARPACK in standard mode on R^-T M R^-1.
+    Without them it runs generalized shift-invert mode on ``operator``."""
 
     sigma: float
     operator: spla.LinearOperator = field(repr=False)
+    half_solves: tuple[Callable, Callable] | None = field(default=None, repr=False)
 
 
 def _as_csr(A):
@@ -175,6 +191,15 @@ def shift_invert(K, M, shift: float = 0.0) -> ShiftInvert:
     return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype))
 
 
+def _band_solve(cb, b, trans: str):
+    """U^-1 b (``trans`` "N") or U^-T b ("T") for the upper band Cholesky
+    factor U of ``cholesky_banded``, one LAPACK dtbtrs."""
+    x, info = dla.lapack.dtbtrs(cb, b, trans=trans)
+    if info != 0:
+        raise SolverFailureError(f"band triangular solve failed: info {info}")
+    return x
+
+
 def band_shift_invert(K, M, shift: float = 0.0) -> ShiftInvert:
     """Factor the positive definite K - sigma M, sigma = ``shift``, of an
     optimizer pencil once for any number of solves, as a LAPACK band
@@ -182,11 +207,14 @@ def band_shift_invert(K, M, shift: float = 0.0) -> ShiftInvert:
 
     With A = [[a, c^T], [c, B]], B (every dof past 0) is packed into upper
     band storage, its half-bandwidth read from its pattern, and factored
-    (dpbtrf). Dof 0 is eliminated last: w = B^-1 c and s = a - c^T w once,
-    then each solve takes one band solve y = B^-1 b_1 (dpbtrs),
-    x_0 = (b_0 - c^T y) / s and x_1 = y - x_0 w. A pencil that is not
-    positive definite (a failed band factorization or s <= 0) raises
-    SolverFailureError.
+    (dpbtrf) as B = U^T U. Dof 0 is eliminated last: r = U^-T c and
+    s = a - r^T r once, so A = R^T R with R = [[sqrt(s), 0], [r, U]]. The
+    factor exports the half-solves R^-1 and R^-T, each one triangular band
+    solve (dtbtrs) plus a dot product or an axpy for dof 0; with them
+    ``solve_smallest`` runs ARPACK in standard mode (see the module
+    docstring), and ``operator`` applies A^-1 = R^-1 R^-T. A pencil that
+    is not positive definite (a failed band factorization or s <= 0)
+    raises SolverFailureError.
     """
     K, M = _as_csr(K), _as_csr(M)
     sigma = float(shift)
@@ -205,19 +233,28 @@ def band_shift_invert(K, M, shift: float = 0.0) -> ShiftInvert:
         cb = dla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
     except dla.LinAlgError as err:
         raise SolverFailureError(f"band factorization failed: {err}") from err
-    w = dla.cho_solve_banded((cb, False), c, check_finite=False)
-    s = a - c @ w
+    r = _band_solve(cb, c, "T")
+    s = a - r @ r
     if not s > 0.0:
         raise SolverFailureError(f"band factorization failed: border pivot {s:.3g}")
+    root = np.sqrt(s)
+
+    def inv_r(b):
+        # x_0 = b_0 / sqrt(s), x_1 = U^-1 (b_1 - x_0 r)
+        x0 = np.asarray(b[0] / root)
+        x1 = _band_solve(cb, b[1:] - np.multiply.outer(r, x0), "N")
+        return np.concatenate((x0[None], x1))
+
+    def inv_rt(b):
+        # y_1 = U^-T b_1, y_0 = (b_0 - r^T y_1) / sqrt(s)
+        y1 = _band_solve(cb, b[1:], "T")
+        return np.concatenate((np.asarray((b[0] - r @ y1) / root)[None], y1))
 
     def solve(b):
-        b = np.ravel(b)
-        y = dla.cho_solve_banded((cb, False), b[1:], check_finite=False)
-        x0 = (b[0] - c @ y) / s
-        y -= x0 * w
-        return np.concatenate(([x0], y))
+        return inv_r(inv_rt(np.ravel(b)))
 
-    return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype))
+    return ShiftInvert(sigma, spla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype),
+                       half_solves=(inv_r, inv_rt))
 
 
 def solve_smallest(K, M, count: int, factor: ShiftInvert | None = None) -> ModalSolution:
@@ -228,7 +265,9 @@ def solve_smallest(K, M, count: int, factor: ShiftInvert | None = None) -> Modal
     positive definite. ``factor`` is a shift-invert factorization of this
     pencil (see ``shift_invert``), made at zero shift when not given; any
     shift below the smallest eigenvalue gives the same answer, only
-    convergence speed differs.
+    convergence speed differs. A factor with half-solves runs ARPACK in
+    standard mode, any other in generalized shift-invert mode (see the
+    module docstring); both feed the same normalization and residuals.
     """
     K, M = _as_csr(K), _as_csr(M)
     n = K.shape[0]
@@ -248,8 +287,15 @@ def solve_smallest(K, M, count: int, factor: ShiftInvert | None = None) -> Modal
     if np.iscomplexobj(K) or np.iscomplexobj(M):
         v0 = v0.astype(complex)
     try:
-        vals, vecs = spla.eigsh(K, k=count, M=M, sigma=factor.sigma,
-                                OPinv=factor.operator, which="LM", v0=v0)
+        if factor.half_solves is None:
+            vals, vecs = spla.eigsh(K, k=count, M=M, sigma=factor.sigma,
+                                    OPinv=factor.operator, which="LM", v0=v0)
+        else:
+            inv_r, inv_rt = factor.half_solves
+            op = spla.LinearOperator(K.shape, matvec=lambda y: inv_rt(M @ inv_r(y)),
+                                     dtype=float)
+            mus, ys = spla.eigsh(op, k=count, which="LM", v0=v0)
+            vals, vecs = factor.sigma + 1.0 / mus, inv_r(ys)
     except spla.ArpackNoConvergence as err:
         raise SolverFailureError(
             f"eigensolver did not converge ({len(err.eigenvalues)}/{count} modes)") from err

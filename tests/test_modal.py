@@ -1,9 +1,11 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 from scipy import linalg, sparse
+from scipy.sparse import linalg as spla
 
 from lramkit import dispersion, fem, homogenize, modal, rve, topopt
 from lramkit.errors import NoRelevantModeError, SolverFailureError
@@ -219,7 +221,7 @@ class TestOrdering:
         topopt.analyze_design(layout, chi, phases, st, topopt.constraint_map(layout))
         # past the border: 288 and 289 dofs, half-bandwidth one node row plus one
         assert [band.shape for band in bands] == [(19, 288), (19, 289)]
-        # stored entries: the band plus the border column w = B^-1 c
+        # stored entries: the band plus the border column r = U^-T c
         restricted, free = (band.size + band.shape[1] for band in bands)
         assert free <= 1.25 * restricted
 
@@ -293,6 +295,67 @@ class TestBandShiftInvert:
         assert band.residuals[elastic].max() <= 1e-8
         if pencil == "free":
             assert abs(band.eigenvalues[0]) < 1e-6 * band.eigenvalues[1]
+
+    @pytest.mark.parametrize("pencil", ["restricted", "free"])
+    def test_half_solves_factor_the_pencil(self, pencils, pencil):
+        """R^-1 R^-T solves A = K - sigma M = R^T R as the sparse LU does,
+        within the bound of ``test_apply_matches_sparse_lu``, and the
+        standard-mode operator R^-T M R^-1 is symmetric."""
+        K, M, shift = pencils[pencil]
+        A = K - shift * M
+        n = A.shape[0]
+        inv_r, inv_rt = modal.band_shift_invert(K, M, shift).half_solves
+        lu = modal.shift_invert(K, M, shift).operator
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal(n)
+        x, ref = inv_r(inv_rt(b)), lu.matvec(b)
+        scale = linalg.norm(A.toarray(), 2) * np.linalg.norm(ref)
+        assert np.linalg.norm(A @ (x - ref)) <= 1e-10 * scale
+
+        def op(y):
+            return inv_rt(M @ inv_r(y))
+
+        u, v = rng.standard_normal((2, n))
+        lhs, rhs = op(u) @ v, u @ op(v)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        # the (n, k) form that recovers the Ritz vectors, column by column
+        Y = rng.standard_normal((n, 3))
+        np.testing.assert_allclose(inv_r(Y), np.column_stack([inv_r(y) for y in Y.T]),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_standard_mode_makes_no_arpack_m_products(self, pencils):
+        """With the band factor's half-solves, M is applied once per ARPACK
+        step and twice per mode by the M-normalization and the residual,
+        no more. The sparse LU runs generalized mode, in which ARPACK also
+        takes M products for its M-inner products."""
+        K, M, shift = pencils["free"]
+        k = 3
+        products = []
+
+        class CountingM(sparse.csr_matrix):
+            def __matmul__(self, other):
+                products.append(1)
+                return super().__matmul__(other)
+
+        def counted(factor):
+            applies = []
+            if factor.half_solves is None:
+                apply = factor.operator.matvec
+                operator = spla.LinearOperator(
+                    M.shape, matvec=lambda b: (applies.append(1), apply(b))[1])
+                factor = dataclasses.replace(factor, operator=operator)
+            else:
+                inv_r, inv_rt = factor.half_solves
+                factor = dataclasses.replace(factor, half_solves=(
+                    inv_r, lambda b: (applies.append(1), inv_rt(b))[1]))
+            products.clear()
+            modal.solve_smallest(K, CountingM(M), k, factor=factor)
+            return len(applies), len(products)
+
+        applies, m_products = counted(modal.band_shift_invert(K, M, shift))
+        assert 0 < applies and m_products <= applies + 2 * k
+        applies, m_products = counted(modal.shift_invert(K, M, shift))
+        assert m_products > applies + 2 * k
 
     @pytest.mark.parametrize("pencil, match", [
         ("restricted", "leading minor"),   # shift above lambda_1: the band fails
