@@ -172,7 +172,9 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
             kappas = np.linspace(0.0, np.pi / cfg.cell_size, cfg.kappa_samples)
             bres = dispersion.bloch_oracle(grid, fields, kappas,
                                            n_branches=cfg.bloch_branches)
-            log(f"Bloch oracle: worst elastic eigen residual "
+            # the process count depends on the machine: log only, never hashed
+            procs = f"{bres.processes} process" + ("es" if bres.processes > 1 else "")
+            log(f"Bloch oracle: {procs}; worst elastic eigen residual "
                 f"{bres.worst_elastic_residual():.3g} over {len(kappas)} wavenumbers")
             p = out / "dispersion_bloch.csv"
             bres.to_csv(p, cfg.cell_size)

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from lramkit import rve, topopt
 from lramkit.grid import build_grid
 from lramkit.materials import builtin_materials
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped (running or exited)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)   # reaps an exited child, if any
+    except ChildProcessError:   # no child at all
+        return
+    pytest.fail(f"test left child process {pid or '(still running)'} unreaped")
 
 
 @pytest.fixture(scope="session")

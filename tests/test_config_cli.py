@@ -421,6 +421,25 @@ class TestPipelineRun:
                                             "at kappa = 0 rad/m")
         assert "Traceback" not in capsys.readouterr().out
 
+    def test_failed_bloch_cholesky_in_child_exits_two(self, tmp_path, monkeypatch, capsys):
+        parent, cho_factor = os.getpid(), linalg.cho_factor
+
+        def not_definite_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise linalg.LinAlgError("synthetic: not positive definite")
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        monkeypatch.setattr(linalg, "cho_factor", not_definite_in_child)
+        cfg_file = _gated_config(tmp_path, out_name="cli_out")
+        assert cli.main(["pipeline", "--config", str(cfg_file)]) == 2
+        manifest = json.loads((tmp_path / "cli_out" / "failure_manifest.json").read_text())
+        kappa_1 = 0.5 * np.pi / 0.01   # the second of 3 samples, the child's first
+        assert manifest["error"].startswith("SolverFailureError: Bloch Schur complement "
+                                            f"at kappa = {kappa_1:.9g} rad/m")
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
     def test_failed_band_cholesky_exits_two(self, tmp_path, monkeypatch, capsys):
         def not_definite(*args, **kwargs):
             raise linalg.LinAlgError("synthetic: not positive definite")
@@ -442,6 +461,19 @@ class TestPipelineRun:
         worst = float(line.split("residual ")[1].split()[0])
         assert 0.0 < worst <= 1e-8
         assert line.endswith("over 3 wavenumbers")
+
+    def test_bloch_process_count_logged_not_hashed(self, tmp_path, monkeypatch):
+        hashes = []
+        for count in (1, 2):
+            monkeypatch.setattr(dispersion, "_workers", lambda n, count=count: count)
+            lines = []
+            cfg = load_config(_gated_config(tmp_path, out_name=f"out_{count}"))
+            assert pipeline.run(cfg, log=lines.append).exit_code == 0
+            procs = "1 process;" if count == 1 else "2 processes;"
+            assert any(ln.startswith(f"Bloch oracle: {procs}") for ln in lines)
+            manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+            hashes.append(manifest["files"])
+        assert hashes[0] == hashes[1]
 
     def test_optimizer_counts_logged(self, tmp_path):
         lines = []

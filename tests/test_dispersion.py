@@ -1,16 +1,18 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import linalg
 from scipy.sparse.linalg import splu
 
-from lramkit import dispersion, fem, homogenize, modal
+from lramkit import blas, dispersion, fem, homogenize, modal
 from lramkit.errors import SolverFailureError
 from lramkit.grid import build_grid
 from lramkit.materials import uniform_fields
 
 from oracles import master_slave_map
+from test_blas import _FakeSetter
 from test_fem import _map_grid, _random_matrices
 
 
@@ -100,9 +102,10 @@ class TestBlochOracle:
             return sols[-1]
 
         monkeypatch.setattr(modal, "solve_smallest", recording)
+        monkeypatch.setattr(dispersion, "_workers", lambda n: 1)   # record every solve
         kappas = np.array([0.0, 0.3 * math.pi / 0.01, -math.pi / 0.01, 2.5])
         res = dispersion.bloch_oracle(g, fields, kappas, n_branches=3)
-        for kap, sol, x_fraction in zip(kappas, sols, res.x_fraction):
+        for kap, sol, x_fraction in zip(kappas, sols, res.x_fraction, strict=True):
             full = master_slave_map(g, "periodic", kappa=kap) @ sol.modes
             ref = (np.abs(full[0::2]) ** 2).sum(axis=0) / (np.abs(full) ** 2).sum(axis=0)
             np.testing.assert_allclose(x_fraction, ref, rtol=1e-14, atol=1e-15)
@@ -308,14 +311,104 @@ class TestBlochCondensation:
             return sols[-1]
 
         monkeypatch.setattr(modal, "solve_smallest", recording)
+        monkeypatch.setattr(dispersion, "_workers", lambda n: 1)   # record every solve
         kappas = np.array([0.0, 0.5 * math.pi / 0.01])
         res = dispersion.bloch_oracle(g, fields, kappas, n_branches=4)
         assert res.residuals.shape == (2, 4)
-        for row, sol in zip(res.residuals, sols):
+        for row, sol in zip(res.residuals, sols, strict=True):
             np.testing.assert_array_equal(row, sol.residuals)
         elastic = np.concatenate([res.residuals[0, 2:], res.residuals[1]])
         assert res.worst_elastic_residual() == elastic.max()
         assert res.worst_elastic_residual() <= 1e-8
+
+
+class TestBlochProcesses:
+    """Wavenumber i is solved by process i mod W; the parent is process 0."""
+
+    _KAPPAS = np.array(_SPLIT_KAPPAS + (0.7 * math.pi / 0.01,))
+
+    @staticmethod
+    def _cho_factor_failing_where(monkeypatch, in_parent: bool):
+        """Make the Schur Cholesky fail in the parent only, or in children only."""
+        parent, cho_factor = os.getpid(), linalg.cho_factor
+
+        def failing(*args, **kwargs):
+            if (os.getpid() == parent) == in_parent:
+                raise linalg.LinAlgError("synthetic: not positive definite")
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "cho_factor", failing)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_process_count_leaves_bits_unchanged(self, epoxy, steel, monkeypatch, workers):
+        parent, splu = os.getpid(), modal._splu
+
+        def parent_only(A):
+            assert os.getpid() == parent, "a child factored the interior"
+            return splu(A)
+
+        monkeypatch.setattr(modal, "_splu", parent_only)
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        runs = []
+        for count in (1, workers):
+            monkeypatch.setattr(dispersion, "_workers", lambda n, count=count: count)
+            runs.append(dispersion.bloch_oracle(g, fields, self._KAPPAS, n_branches=3))
+        serial, split = runs
+        assert (serial.processes, split.processes) == (1, workers)
+        for name in ("frequencies_hz", "x_fraction", "residuals"):
+            np.testing.assert_array_equal(getattr(split, name), getattr(serial, name))
+
+    def test_one_blas_thread_in_every_process(self, epoxy, steel, monkeypatch):
+        lib = _FakeSetter(2)
+        monkeypatch.setattr(blas, "_thread_setters", lambda: [lib])
+        branches = dispersion._bloch_branches
+
+        def checked(*args):
+            assert lib.count == 1, f"wavenumber solved with {lib.count} BLAS threads"
+            return branches(*args)
+
+        monkeypatch.setattr(dispersion, "_bloch_branches", checked)
+        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        dispersion.bloch_oracle(g, fields, self._KAPPAS, n_branches=3)
+        assert lib.count == 2
+
+    def test_child_failure_names_its_wavenumber(self, epoxy, steel, monkeypatch):
+        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        self._cho_factor_failing_where(monkeypatch, in_parent=False)
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        first_of_child = f"kappa = {self._KAPPAS[1]:.9g} rad/m is not positive definite"
+        with pytest.raises(SolverFailureError, match=first_of_child):
+            dispersion.bloch_oracle(g, fields, self._KAPPAS, n_branches=3)
+
+    def test_parent_failure_leaves_no_child(self, epoxy, steel, monkeypatch):
+        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        self._cho_factor_failing_where(monkeypatch, in_parent=True)
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        with pytest.raises(SolverFailureError, match="kappa = 0 rad/m"):
+            dispersion.bloch_oracle(g, fields, self._KAPPAS, n_branches=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_dying_without_result(self, epoxy, steel, monkeypatch):
+        parent, cho_factor = os.getpid(), linalg.cho_factor
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        monkeypatch.setattr(linalg, "cho_factor", dying)
+        g, fields = _asymmetric_cell(7, 4, epoxy, steel)
+        owned = f"kappa = {self._KAPPAS[1]:.9g}, {self._KAPPAS[3]:.9g} rad/m"
+        with pytest.raises(SolverFailureError, match=f"{owned} ended without a result"):
+            dispersion.bloch_oracle(g, fields, self._KAPPAS, n_branches=3)
+
+    def test_one_process_per_cpu_and_wavenumber(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert dispersion._workers(0) == dispersion._workers(1) == 1
+        assert dispersion._workers(9) == min(cpus, 9)
 
 
 class TestBlochBandGap:
