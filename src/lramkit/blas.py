@@ -4,10 +4,11 @@ NumPy and SciPy each ship their own OpenBLAS, and each starts a pool of
 worker threads that spin-wait after every threaded call. Code that makes
 thousands of tiny BLAS calls between sparse solves (the optimizer's modal
 analyses) then has two spinning pools competing with the main thread for
-the cores. The Bloch oracle (``dispersion``) splits its wavenumbers across
-forked processes, where a pool per process would do the same; it runs with
-one thread too, which the forked children inherit, and so each
-wavenumber's bits do not depend on the number of processes.
+the cores. The optimizer's probe batches and the Bloch oracle's
+wavenumbers are split across forked processes (``forkpool``), where a pool
+per process would do the same; both run with one thread, which the forked
+children inherit, and so no result's bits depend on the number of
+processes.
 ``single_threaded`` sets every loaded OpenBLAS to one thread and
 restores each library's previous count on exit. Despite its name,
 ``openblas_set_num_threads_local`` changes the library's count for every

@@ -25,10 +25,11 @@ A_II and S are positive definite; a failed factorization of either is a
 solver failure.
 
 Once A_II is factored the wavenumbers are independent. The oracle splits
-them over W processes, one per usable CPU and at most one per wavenumber:
-itself and W - 1 children forked after the factorization, so every child
-inherits the factor and G copy-on-write and nothing is factored twice.
-Wavenumber i goes to process i mod W, and each child sends its rows back
+them over a ``forkpool.Pool`` of W processes, one per usable CPU and at
+most one per wavenumber: itself and W - 1 children forked after the
+factorization, so every child inherits the factor and G copy-on-write and
+nothing is factored twice. The oracle is the pool's one-round user:
+wavenumber i goes to process i mod W, and each child sends its rows back
 through a pipe. Parent and children run with one BLAS thread (``blas``): two
 processes with a thread pool each would fight for the cores, and one
 thread per process keeps each wavenumber's bits independent of the
@@ -38,10 +39,6 @@ process.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +46,7 @@ from scipy import linalg as dla
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from . import blas, fem, modal
+from . import blas, fem, forkpool, modal
 from .errors import SolverFailureError
 from .grid import StructuredGrid
 from .homogenize import EffectiveMaterial, effective_density
@@ -254,102 +251,8 @@ def _bloch_branches(cell: _BlochCell, kappa: float, n_branches: int):
             sol.residuals)
 
 
-def _workers(n_kappas: int) -> int:
-    """Processes for ``n_kappas`` wavenumbers: one per usable CPU, at most
-    one per wavenumber, and one where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, min(cpus, n_kappas))
-
-
-def _share_rows(cell: _BlochCell, kappas: np.ndarray, share: range,
-                n_branches: int) -> list:
-    return [_bloch_branches(cell, kappas[i], n_branches) for i in share]
-
-
-def _child_result(cell, kappas, share, n_branches) -> bytes:
-    """The pickled rows of a child's share, or the exception that stopped it
-    (a SolverFailureError with its text if the exception does not pickle)."""
-    try:
-        return pickle.dumps(_share_rows(cell, kappas, share, n_branches))
-    except Exception as exc:
-        try:
-            blob = pickle.dumps(exc)
-            pickle.loads(blob)
-            return blob
-        except Exception:
-            return pickle.dumps(SolverFailureError(f"{type(exc).__name__}: {exc}"))
-
-
-def _fork_share(cell, kappas, share, n_branches):
-    """Fork a process that solves the wavenumbers of ``share`` and writes its
-    result to a pipe; returns its pid and the read end."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that forking a multi-threaded process may
-            # deadlock the child. The other threads here are OpenBLAS pool
-            # workers, idle between calls: the child takes no lock they could
-            # hold, runs one-thread BLAS and SuperLU on the inherited factor
-            # and leaves through os._exit, skipping every exit handler.
-            warnings.filterwarnings("ignore", message=".*multi-threaded.*fork",
-                                    category=DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:   # child
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(_child_result(cell, kappas, share, n_branches))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _child_rows(pid: int, pipe, kappas: np.ndarray) -> list:
-    """Read and reap the child ``pid``; its rows, else raise what stopped it."""
-    with pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if status != 0 or not data:
-        owned = ", ".join(f"{k:.9g}" for k in kappas)
-        raise SolverFailureError(
-            f"Bloch process for kappa = {owned} rad/m ended without a result "
-            f"(wait status {status})")
-    out = pickle.loads(data)
-    if isinstance(out, BaseException):
-        raise out
-    return out
-
-
-def _solve_kappas(cell: _BlochCell, kappas: np.ndarray, n_branches: int,
-                  workers: int) -> list:
-    """Rows (frequencies, x_fraction, residuals) of every wavenumber in order,
-    wavenumber i solved by process i mod ``workers``, 0 being this one.
-    Every child is reaped before this returns or raises."""
-    shares = [range(w, len(kappas), workers) for w in range(workers)]
-    children = []   # (pid, read end, share) of each child not yet reaped
-    try:
-        for share in shares[1:]:
-            children.append((*_fork_share(cell, kappas, share, n_branches), share))
-        rows = dict(zip(shares[0], _share_rows(cell, kappas, shares[0], n_branches)))
-        while children:
-            pid, pipe, share = children.pop(0)
-            rows.update(zip(share, _child_rows(pid, pipe, kappas[share])))
-        return [rows[i] for i in range(len(kappas))]
-    finally:
-        for pid, pipe, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+def _describe_kappas(kappas) -> str:
+    return "Bloch process for kappa = " + ", ".join(f"{k:.9g}" for k in kappas) + " rad/m"
 
 
 @blas.single_threaded()
@@ -367,12 +270,13 @@ def bloch_oracle(grid: StructuredGrid, fields: GaussPointFields, kappas,
     """
     cell = _BlochCell(grid, fields)
     kappas = np.asarray(kappas, dtype=float)
-    workers = _workers(len(kappas))
     freqs, pol, res = (np.zeros((len(kappas), n_branches)) for _ in range(3))
-    for idx, row in enumerate(_solve_kappas(cell, kappas, n_branches, workers)):
-        freqs[idx], pol[idx], res[idx] = row
+    with forkpool.Pool(lambda kappa: _bloch_branches(cell, kappa, n_branches),
+                       forkpool.processes(len(kappas)), describe=_describe_kappas) as pool:
+        for idx, row in enumerate(pool.map(kappas)):
+            freqs[idx], pol[idx], res[idx] = row
     return BlochResult(kappas=kappas, frequencies_hz=freqs, x_fraction=pol,
-                       residuals=res, processes=workers)
+                       residuals=res, processes=pool.processes)
 
 
 def bloch_band_gap(result: BlochResult, f_lo_hint: float, f_hi_hint: float,

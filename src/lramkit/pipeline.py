@@ -1,8 +1,9 @@
 """Pipeline orchestration: optimize, homogenize, dispersion, transmission.
 
 Each stage writes its artifacts into the output directory; a manifest
-records the configuration echo, library versions, wall time and a content
-hash for every emitted file. Reruns with the same configuration produce
+records the configuration echo, library versions, the wall time of the
+run and of each stage that completed, and a content hash for every
+emitted file. Reruns with the same configuration produce
 byte-identical data files.
 """
 from __future__ import annotations
@@ -39,6 +40,12 @@ def write_phi(phi_grid: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         for row in phi_grid:
             fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
+
+
+def _processes(count: int) -> str:
+    """A stage's process count for the log. It depends on the machine, so it
+    goes to no artifact and into no hash."""
+    return f"{count} process" + ("es" if count > 1 else "")
 
 
 def _mu_tag(mu: float) -> str:
@@ -92,8 +99,10 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
     soft = registry[cfg.soft]
 
     stage_traceback: str | None = None
+    stage_wall_s: dict[str, float] = {}   # wall clock: manifest only, never hashed
     try:
         # ---- stage: optimize -------------------------------------------
+        t_stage = time.perf_counter()
         if "optimize" in cfg.stages:
             phases = rve.scaled_phases(frame, dense, soft, cfg.soft_density_scale,
                                        cfg.interpolation_exponent)
@@ -111,8 +120,8 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                     snap_paths.append(p)
 
             res = topopt.optimize(layout, phases, settings, observer=observer)
-            log(f"optimizer: {res.analyses} design analyses, {res.free_solves} "
-                f"free-pencil solves; worst elastic eigen residual "
+            log(f"optimizer: {_processes(res.processes)}; {res.analyses} design analyses, "
+                f"{res.free_solves} free-pencil solves; worst elastic eigen residual "
                 f"{res.analysis.worst_elastic_residual():.3g}")
             last_it = res.history[-1].iteration
             last_snap = out / f"phi_iter_{last_it:06d}.txt"
@@ -133,6 +142,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                 log("warning: optimizer stagnated above stop_tol; no probed step "
                     "lowers the cost of the returned design")
             phi = res.state.phi
+            stage_wall_s["optimize"] = time.perf_counter() - t_stage
         elif cfg.level_set_file is not None:
             phi = read_phi(cfg.level_set_file, cfg.nx, cfg.ny)
         else:
@@ -140,6 +150,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
 
         # ---- stage: homogenize -----------------------------------------
         ems: dict[float, homogenize.EffectiveMaterial] = {}
+        t_stage = time.perf_counter()
         if "homogenize" in cfg.stages or "dispersion" in cfg.stages \
                 or "transmission" in cfg.stages:
             if phi is None:
@@ -160,8 +171,10 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                     homogenize.write_report(em, p)
                     emit(p)
             del cell   # its modal basis is not needed by the later stages
+            stage_wall_s["homogenize"] = time.perf_counter() - t_stage
 
         # ---- stage: dispersion -----------------------------------------
+        t_stage = time.perf_counter()
         if "dispersion" in cfg.stages:
             freqs = cfg.frequencies()
             for mu, em in ems.items():
@@ -172,15 +185,15 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
             kappas = np.linspace(0.0, np.pi / cfg.cell_size, cfg.kappa_samples)
             bres = dispersion.bloch_oracle(grid, fields, kappas,
                                            n_branches=cfg.bloch_branches)
-            # the process count depends on the machine: log only, never hashed
-            procs = f"{bres.processes} process" + ("es" if bres.processes > 1 else "")
-            log(f"Bloch oracle: {procs}; worst elastic eigen residual "
+            log(f"Bloch oracle: {_processes(bres.processes)}; worst elastic eigen residual "
                 f"{bres.worst_elastic_residual():.3g} over {len(kappas)} wavenumbers")
             p = out / "dispersion_bloch.csv"
             bres.to_csv(p, cfg.cell_size)
             emit(p)
+            stage_wall_s["dispersion"] = time.perf_counter() - t_stage
 
         # ---- stage: transmission ---------------------------------------
+        t_stage = time.perf_counter()
         if "transmission" in cfg.stages:
             freqs = cfg.frequencies()
             for mu, em in ems.items():
@@ -194,6 +207,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
                 emit(p)
                 for f_bad, msg in tl.failures:
                     log(f"warning: sample {f_bad:.2f} Hz failed: {msg}")
+            stage_wall_s["transmission"] = time.perf_counter() - t_stage
     except Exception as exc:   # any stage failure is exit 2, never a traceback
         result.error = f"{type(exc).__name__}: {exc}"
         stage_traceback = traceback.format_exc()   # kept in the manifest, not printed
@@ -208,6 +222,7 @@ def run(cfg: PipelineConfig, log=print) -> RunResult:
         "config_echo": cfg.raw_text,
         "stages": list(cfg.stages),
         "wall_time_s": time.time() - t_start,
+        "stage_wall_s": stage_wall_s,
         "error": result.error,
         "traceback": stage_traceback,
         "files": [

@@ -14,8 +14,9 @@ when the fit share alpha f^2 of its restricted solve already reaches the
 cost it has to beat. The prune is exact: in round-to-nearest
 fl(a + b) >= a for b >= 0, so the probe's cost would reach that cost too,
 and the march would not keep it either. At alpha = 1 the cost is f^2
-alone, so only new bests solve the unrestricted system; below 1 the gap
-term usually dominates and the prune rarely fires.
+alone, so of each batch of probes only the one of lowest f^2 solves the
+unrestricted system (see ``optimize``); below 1 the gap term usually
+dominates and the prune rarely fires.
 
 Both reduced systems prescribe every vertical dof (the panel carries
 horizontally polarized waves) and hold the frame rigid by constraint, and
@@ -30,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from . import blas, fem, modal, rve
+from . import blas, fem, forkpool, modal, rve
 from .errors import FeasibilityError, NoRelevantModeError, SolverFailureError
 from .grid import StructuredGrid
 from .materials import deviatoric_voigt, interpolate, volumetric_voigt
@@ -195,8 +196,9 @@ class OptimizeResult:
     converged: bool
     stagnated: bool
     instability_warning: bool
-    analyses: int      # analyze_design calls, the initial design's included
+    analyses: int      # designs analysed, the initial one included
     free_solves: int   # analyses that solved the free pencil and returned a design
+    processes: int = field(default=1, compare=False)   # that analysed the probes
 
     @property
     def history(self) -> list[HistoryRow]:
@@ -219,46 +221,88 @@ def constraint_map(layout: rve.CellLayout) -> fem.ConstraintOperators:
                                  frame=frame)
 
 
-def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,
-                   settings: OptimizerSettings, ops: fem.ConstraintOperators,
-                   bound: float = math.inf) -> DesignAnalysis | None:
-    """Assemble the reduced free pencil of one design under ``ops``, the
-    ``constraint_map``, and solve its restricted block and itself.
+@dataclass(frozen=True)
+class RestrictedSolve:
+    """The restricted half of a design analysis: the relevant modes of the
+    free pencil's [1:, 1:] block and the fit term of the first of them."""
 
-    The x-translation I_x is the free map's all-ones vector, so the
-    restricted momentum coupling P_r^T M I_x is the free M's row sums past
-    row 0. Returns None, without solving the free pencil, when the fit
-    share alpha f^2 of the restricted solve alone reaches ``bound``: the
-    cost Pi = alpha f^2 + (1 - alpha) g^2 cannot then fall below it.
-    """
-    volume = layout.grid.area
+    solution: modal.ModalSolution
+    relevant: np.ndarray
+    lambda_star1: float
+    f: float
+
+
+def _pencils(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,
+             ops: fem.ConstraintOperators):
+    """(<rho>, M, K): the reduced free pencil of a design and its mean density."""
     fields = rve.material_fields(layout, chi, phases)
     M, K = fem.assemble(layout.grid, fields, ops)
-    rho_bar = float(fields.rho.mean())   # <rho>: every Gauss point weighs the same
-    momentum = (M @ np.ones(ops.nfree))[1:]
+    return float(fields.rho.mean()), M, K   # every Gauss point weighs the same
 
-    def restricted_relevant(sol):
+
+def _restricted(layout: rve.CellLayout, rho_bar: float, M, K,
+                settings: OptimizerSettings) -> RestrictedSolve:
+    # the x-translation I_x is the free map's all-ones vector, so the
+    # restricted momentum coupling P_r^T M I_x is the free M's row sums past row 0
+    volume = layout.grid.area
+    momentum = (M @ np.ones(M.shape[0]))[1:]
+
+    def relevant(sol):
         coupling = (momentum @ sol.modes)[None] / volume
         return modal.filter_relevant_restricted(
             sol, coupling, math.sqrt(rho_bar / volume), settings.delta_tol)
+
+    sol, rel = modal.solve_relevant(K[1:, 1:], M[1:, 1:], MODAL_COUNT, relevant,
+                                    modal.band_shift_invert)
+    lam_s = float(sol.eigenvalues[rel[0]])
+    return RestrictedSolve(solution=sol, relevant=rel, lambda_star1=lam_s,
+                           f=fit_term(lam_s, settings.lambda_target))
+
+
+def restricted_solve(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,
+                     settings: OptimizerSettings,
+                     ops: fem.ConstraintOperators) -> RestrictedSolve:
+    """The restricted half of ``analyze_design``, to be resumed by it."""
+    return _restricted(layout, *_pencils(layout, chi, phases, ops), settings)
+
+
+def analyze_design(layout: rve.CellLayout, chi: np.ndarray, phases: rve.PhaseSet,
+                   settings: OptimizerSettings, ops: fem.ConstraintOperators,
+                   bound: float = math.inf,
+                   restricted: RestrictedSolve | None = None) -> DesignAnalysis | None:
+    """Assemble the reduced free pencil of one design under ``ops``, the
+    ``constraint_map``, and solve its restricted block and itself.
+
+    Returns None, without solving the free pencil, when the fit share
+    alpha f^2 of the restricted solve alone reaches ``bound``: the cost
+    Pi = alpha f^2 + (1 - alpha) g^2 cannot then fall below it.
+    ``restricted``, this design's ``restricted_solve`` made earlier, resumes
+    the analysis after it; the pencil is then assembled again, bitwise the
+    same, only if the free pencil is solved.
+    """
+    pencils = None
+    if restricted is None:
+        pencils = _pencils(layout, chi, phases, ops)
+        restricted = _restricted(layout, *pencils, settings)
+    f = restricted.f
+    if settings.alpha * f * f >= bound:
+        return None
+
+    volume = layout.grid.area
+    rho_bar, M, K = pencils or _pencils(layout, chi, phases, ops)
 
     def free_relevant(sol):
         mean = modal.mean_displacement(sol, ops.N_mu, ops.P)
         return modal.filter_relevant_unrestricted(
             sol, mean, 1.0 / math.sqrt(rho_bar * volume), settings.delta_tol)
 
-    sol_r, rel_r = modal.solve_relevant(K[1:, 1:], M[1:, 1:], MODAL_COUNT,
-                                        restricted_relevant, modal.band_shift_invert)
-    lam_s = float(sol_r.eigenvalues[rel_r[0]])
-    f = fit_term(lam_s, settings.lambda_target)
-    if settings.alpha * f * f >= bound:
-        return None
-
     shift_free = -(2.0 * math.pi * max(settings.target_f_hz / 10.0, 10.0)) ** 2
     sol_u, rel_u = modal.solve_relevant(K, M, MODAL_COUNT + 1, free_relevant,
                                         partial(modal.band_shift_invert, shift=shift_free))
     lam_u = float(sol_u.eigenvalues[rel_u[0]])
-    cost = evaluate_cost(lam_s, lam_u, settings.lambda_target, settings.alpha)
+    cost = evaluate_cost(restricted.lambda_star1, lam_u, settings.lambda_target,
+                         settings.alpha)
+    sol_r, rel_r = restricted.solution, restricted.relevant
     # the restricted map prescribes the frame translation, column 0
     mode_star = ops.P @ np.concatenate(([0.0], sol_r.modes[:, rel_r[0]]))
     mode_free = ops.P @ sol_u.modes[:, rel_u[0]]
@@ -352,6 +396,97 @@ def _node_flip_candidates(layout: rve.CellLayout, phi: np.ndarray,
     return [int(n) for n in picks[:budget]]
 
 
+# probe failures that only rule the candidate out: no resonator left, or
+# solver trouble
+_DEGENERATE = (NoRelevantModeError, SolverFailureError, ValueError)
+
+
+class _Probes:
+    """One process's side of the march's probe batches (see ``optimize``).
+
+    A batch is a recipe, ``("step", phi, direction, c1)`` or
+    ``("flip", phi)``, and one parameter per candidate: a step scale or a
+    node. Between the rounds of a batch each process keeps what the parent
+    may still ask for: at alpha = 1 the restricted solve of every candidate
+    of its share, below 1 the lowest-cost design of its share.
+    """
+
+    def __init__(self, layout, phases, settings, ops):
+        self.layout, self.phases, self.settings, self.ops = layout, phases, settings, ops
+        self.held = {}     # candidate index -> (recipe, parameter, RestrictedSolve)
+        self.best = None   # (Pi, candidate index, DesignAnalysis) below the batch's bound
+
+    def __call__(self, request):
+        kind, *args = request
+        return getattr(self, kind)(*args)
+
+    def phi(self, recipe, param) -> np.ndarray:
+        """The level set of candidate ``param`` of a batch."""
+        if recipe[0] == "step":
+            _, phi, direction, c1 = recipe
+            return hj_step(LevelSetState(self.layout, phi), direction, self.settings.dt,
+                           c1 * param).phi
+        phi_t = recipe[1].copy()
+        # hard-set past the clamp so the node's nearest Gauss points flip no
+        # matter how strongly its neighbours pull the other way
+        phi_t[param] = -math.copysign(CLAMP, phi_t[param])
+        return phi_t
+
+    def _analyze(self, recipe, param, bound, restricted=None):
+        chi = rve.chi_at_gauss(self.layout, self.phi(recipe, param))
+        return analyze_design(self.layout, chi, self.phases, self.settings, self.ops,
+                              bound=bound, restricted=restricted)
+
+    def _keep(self, index, analysis, bound):
+        """Pi of ``analysis`` (None for none), kept as this share's best if it beats ``bound``."""
+        if analysis is None:
+            return None
+        pi = analysis.cost.Pi
+        if pi < bound and (self.best is None or pi < self.best[0]):
+            self.best = (pi, index, analysis)
+        return pi
+
+    def probe(self, recipe, index, param, bound):
+        """First round: (fit share alpha f^2 of the held restricted solve,
+        Pi of the returned design), either None. Below alpha = 1 the whole
+        analysis runs, bounded by the batch's cost to beat; at alpha = 1
+        only the restricted solve, which is held."""
+        try:
+            if self.settings.alpha < 1.0:
+                return None, self._keep(index, self._analyze(recipe, param, bound), bound)
+            chi = rve.chi_at_gauss(self.layout, self.phi(recipe, param))
+            stage = restricted_solve(self.layout, chi, self.phases, self.settings, self.ops)
+        except _DEGENERATE:
+            return None, None
+        self.held[index] = (recipe, param, stage)
+        return self.settings.alpha * stage.f * stage.f, None
+
+    def conclude(self, index, bound):
+        """Resume held candidate ``index`` bounded by ``bound``: Pi if it
+        returned a design, else None."""
+        recipe, param, stage = self.held.pop(index)
+        try:
+            return self._keep(index, self._analyze(recipe, param, bound, stage), bound)
+        except _DEGENERATE:
+            return None
+
+    def close(self, bound, winner):
+        """Last round: conclude what is still held, bounded by the batch's
+        final cost to beat, and forget the batch. Returns the free solves
+        that made and the DesignAnalysis of candidate ``winner`` if this
+        process holds it."""
+        solved = sum(self.conclude(i, bound) is not None for i in sorted(self.held))
+        best, self.best = self.best, None
+        return solved, (best[2] if best is not None and best[1] == winner else None)
+
+
+def _describe_requests(requests) -> str:
+    if requests[0][0] == "probe":
+        return "optimizer process for probe candidates " + ", ".join(
+            f"{r[2]} ({r[3]:g})" for r in requests)
+    return f"optimizer process serving a probe batch's {requests[0][0]}"
+
+
 @blas.single_threaded()
 def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
              settings: OptimizerSettings, observer=None) -> OptimizeResult:
@@ -370,18 +505,29 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
     step scale unchanged, so every later one would repeat it. The
     returned design is therefore always the lowest-cost one of the run.
 
-    Each probe is analysed with the cost to beat (the iteration's best so
-    far, else the current design's) as its bound, so a probe whose fit
-    share alpha f^2 reaches it skips the free pencil. No decision changes,
-    since that probe's cost reaches the bound too (see the module
-    docstring). At alpha = 1 only new bests solve the free pencil; at
-    alpha < 1 the prune rarely fires. ``analyses`` and ``free_solves`` of
-    the result count both.
+    Each direction's ladder, and the list of node flips, is one batch: its
+    candidates not yet seen in the iteration are analysed on a
+    ``forkpool.Pool`` opened after the initial analysis, candidate i by
+    process i mod W, one process per usable CPU. The batch's best is its
+    lowest (Pi, probe index) below the cost to beat (the iteration's best
+    so far, else the current design's), which is the candidate the probes
+    would keep one at a time with a strict ``<``. Below alpha = 1 each
+    candidate is analysed with that cost as its bound, so one whose fit
+    share alpha f^2 reaches it skips the free pencil. At alpha = 1, where
+    Pi = f^2 exactly, candidates first solve only the restricted pencil;
+    then the one of lowest (f^2, probe index) solves the free pencil, the
+    next in that order if that fails, and the first that succeeds is the
+    best, whose cost every other candidate reaches. No decision changes:
+    a pruned candidate's cost reaches the bound too (see the module
+    docstring). Processes return costs, and only the best's analysis
+    travels back, so every decision and the result do not depend on W.
+    ``analyses`` and ``free_solves`` of the result count the analyses and
+    the free pencils solved; ``processes`` is W.
 
-    The march runs with one BLAS thread per library: its band
-    factorizations, thousands of small solves and ARPACK steps gain nothing
-    from a second BLAS thread, and the idle pools' spinning workers slow
-    every layer (``dpbtrf`` on a 60x60 pencil about fivefold).
+    The march runs with one BLAS thread per library, in every process: its
+    band factorizations, thousands of small solves and ARPACK steps gain
+    nothing from a second BLAS thread, and the idle pools' spinning workers
+    slow every layer (``dpbtrf`` on a 60x60 pencil about fivefold).
     """
     grid = layout.grid
     omega_min = feasibility_lower_limit((phases.frame, phases.dense, phases.soft),
@@ -423,77 +569,95 @@ def optimize(layout: rve.CellLayout, phases: rve.PhaseSet,
     seen: set[bytes] = set()   # designs analysed in this iteration, the current one included
     best = None                # this iteration's lowest-cost descent: (analysis, phi, step scale)
     analyses = free_solves = 1   # the initial design's
+    probes = _Probes(layout, phases, settings, ops)
 
-    def probe(phi_t, scale):
-        """Analyse the design of phi_t, bounded by the cost to beat, and keep
-        it in ``best`` if it costs less than the current design and every
-        earlier probe."""
-        nonlocal best, analyses, free_solves
-        chi_t = rve.chi_at_gauss(layout, phi_t)
-        key = chi_t.tobytes()
-        if key in seen:
-            return
-        seen.add(key)
+    def probe_batch(recipe, params):
+        """Analyse the batch's candidates not seen in this iteration; returns
+        (analysis, phi, parameter) of its best below the cost to beat, or None."""
+        nonlocal analyses, free_solves
+        fresh = []
+        for param in params:
+            key = rve.chi_at_gauss(layout, probes.phi(recipe, param)).tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(param)
+        if not fresh:
+            return None
+        analyses += len(fresh)
         bound = (current if best is None else best[0]).cost.Pi
-        analyses += 1
-        try:
-            cand = analyze_design(layout, chi_t, phases, settings, ops, bound=bound)
-        except (NoRelevantModeError, SolverFailureError, ValueError):
-            return   # degenerate candidate (no resonator left, solver trouble)
-        if cand is None:
-            return
-        free_solves += 1
-        if cand.cost.Pi < bound:
-            best = (cand, phi_t, scale)
+        results = pool.map([("probe", recipe, i, p, bound) for i, p in enumerate(fresh)])
+        free_solves += sum(pi is not None for _, pi in results)
+        winner = min(((pi, i) for i, (_, pi) in enumerate(results)
+                      if pi is not None and pi < bound), default=None)
+        # alpha = 1: Pi = f^2, so the first held candidate in (f^2, index)
+        # order that solves its free pencil is the batch's best
+        for share, i in sorted((s, i) for i, (s, _) in enumerate(results)
+                               if s is not None and s < bound):
+            pi = pool.call(i % pool.processes, ("conclude", i, bound))
+            if pi is not None:
+                free_solves += 1
+                winner = (pi, i)
+                break
+        final = (bound, None) if winner is None else winner
+        closed = pool.map([("close", *final)] * pool.processes)
+        free_solves += sum(n for n, _ in closed)
+        if winner is None:
+            return None
+        analysis = next(a for _, a in closed if a is not None)
+        param = fresh[winner[1]]
+        return analysis, probes.phi(recipe, param), param
 
-    for it in range(1, settings.max_iters + 1):
-        seen = {current.chi.tobytes()}
-        best = None
-        # the one-signed components act as fallback descent directions: near
-        # the optimum the full field often couples a benign material removal
-        # with a catastrophic re-connection somewhere else, and only the
-        # split direction can realize the benign half
-        for direction in (vtd, np.where(vtd > 0.0, vtd, 0.0), np.where(vtd < 0.0, vtd, 0.0)):
-            for k in _SCAN_ORDER:
-                scale = step_scale * 2.0 ** k
-                probe(hj_step(state, direction, settings.dt, c1 * scale).phi, scale)
-            if best is not None and best[0].cost.Pi < 0.97 * current.cost.Pi:
-                break  # clear descent found, skip the fallback directions
-        if best is None:
-            # endgame fallback: the field update moves whole interface bands
-            # at once, too coarse once the cost is nearly converged. Mirror
-            # single nodes along the sensitivity direction for the finest
-            # possible topology change.
-            for node in _node_flip_candidates(layout, state.phi, vtd, NODE_FLIP_BUDGET):
-                phi_t = state.phi.copy()
-                # hard-set past the clamp so the node's nearest Gauss points
-                # flip no matter how strongly its neighbours pull the other way
-                phi_t[node] = -math.copysign(CLAMP, phi_t[node])
-                probe(phi_t, step_scale)
-        if best is None:
-            stagnated = True
-            break
+    with forkpool.Pool(probes, forkpool.processes(len(_SCAN_ORDER)),
+                       describe=_describe_requests) as pool:
+        for it in range(1, settings.max_iters + 1):
+            seen = {current.chi.tobytes()}
+            best = None
+            # the one-signed components act as fallback descent directions:
+            # near the optimum the full field often couples a benign material
+            # removal with a catastrophic re-connection somewhere else, and
+            # only the split direction can realize the benign half
+            for direction in (vtd, np.where(vtd > 0.0, vtd, 0.0),
+                              np.where(vtd < 0.0, vtd, 0.0)):
+                found = probe_batch(("step", state.phi, direction, c1),
+                                    [step_scale * 2.0 ** k for k in _SCAN_ORDER])
+                if found is not None:
+                    best = found
+                if best is not None and best[0].cost.Pi < 0.97 * current.cost.Pi:
+                    break  # clear descent found, skip the fallback directions
+            if best is None:
+                # endgame fallback: the field update moves whole interface
+                # bands at once, too coarse once the cost is nearly converged.
+                # Mirror single nodes along the sensitivity direction for the
+                # finest possible topology change.
+                found = probe_batch(("flip", state.phi), _node_flip_candidates(
+                    layout, state.phi, vtd, NODE_FLIP_BUDGET))
+                if found is not None:
+                    best = (*found[:2], step_scale)
+            if best is None:
+                stagnated = True
+                break
 
-        prev_lam = current.cost.lambda_star1
-        current, phi_t, scale = best
-        state = replace(state, phi=phi_t, iteration=it)
-        step_scale = min(max(scale, 2.0 ** -SCAN_DOWN), STEP_SCALE_CAP)
-        ratio = math.log10(current.cost.lambda_star1 / prev_lam)
-        if abs(ratio) > 1.0:
-            jumps.append((it, 1 if ratio > 0 else -1))
+            prev_lam = current.cost.lambda_star1
+            current, phi_t, scale = best
+            state = replace(state, phi=phi_t, iteration=it)
+            step_scale = min(max(scale, 2.0 ** -SCAN_DOWN), STEP_SCALE_CAP)
+            ratio = math.log10(current.cost.lambda_star1 / prev_lam)
+            if abs(ratio) > 1.0:
+                jumps.append((it, 1 if ratio > 0 else -1))
 
-        state.history.append(_history_row(it, current.cost, layout, current.chi))
-        if observer is not None:
-            observer(it, state.phi.copy(), state.history[-1])
+            state.history.append(_history_row(it, current.cost, layout, current.chi))
+            if observer is not None:
+                observer(it, state.phi.copy(), state.history[-1])
 
-        if current.cost.Pi <= settings.stop_tol:
-            converged = True
-            break
-        vtd = sensitivity_field(layout, current, phases, settings)
+            if current.cost.Pi <= settings.stop_tol:
+                converged = True
+                break
+            vtd = sensitivity_field(layout, current, phases, settings)
 
     instability = any(s1 != s2 and abs(i1 - i2) <= 20
                       for (i1, s1) in jumps for (i2, s2) in jumps)
     return OptimizeResult(state=state, analysis=current, settings=settings,
                           phases=phases, c1=c1, converged=converged,
                           stagnated=stagnated, instability_warning=instability,
-                          analyses=analyses, free_solves=free_solves)
+                          analyses=analyses, free_solves=free_solves,
+                          processes=pool.processes)

@@ -10,7 +10,7 @@ import pytest
 from scipy import linalg
 
 import lramkit
-from lramkit import cli, dispersion, homogenize, modal, pipeline
+from lramkit import cli, dispersion, forkpool, homogenize, modal, pipeline
 from lramkit.config import (
     Diagnostic,
     load_config,
@@ -429,7 +429,7 @@ class TestPipelineRun:
                 raise linalg.LinAlgError("synthetic: not positive definite")
             return cho_factor(*args, **kwargs)
 
-        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 2)
         monkeypatch.setattr(linalg, "cho_factor", not_definite_in_child)
         cfg_file = _gated_config(tmp_path, out_name="cli_out")
         assert cli.main(["pipeline", "--config", str(cfg_file)]) == 2
@@ -465,7 +465,7 @@ class TestPipelineRun:
     def test_bloch_process_count_logged_not_hashed(self, tmp_path, monkeypatch):
         hashes = []
         for count in (1, 2):
-            monkeypatch.setattr(dispersion, "_workers", lambda n, count=count: count)
+            monkeypatch.setattr(forkpool, "processes", lambda limit=None, count=count: count)
             lines = []
             cfg = load_config(_gated_config(tmp_path, out_name=f"out_{count}"))
             assert pipeline.run(cfg, log=lines.append).exit_code == 0
@@ -487,6 +487,50 @@ class TestPipelineRun:
         assert 1 <= solves < analyses
         worst = float(line.split("residual ")[1])
         assert 0.0 < worst <= 1e-8
+
+    def test_optimizer_process_count_logged_not_hashed(self, tmp_path, monkeypatch):
+        hashes = []
+        for count in (1, 2):
+            monkeypatch.setattr(forkpool, "processes", lambda limit=None, count=count: count)
+            lines = []
+            cfg = load_config(_gated_config(tmp_path, out_name=f"out_{count}"))
+            cfg.stages = ("optimize",)
+            cfg.alpha, cfg.max_iters = 0.5, 3
+            assert pipeline.run(cfg, log=lines.append).exit_code == 0
+            procs = "1 process;" if count == 1 else "2 processes;"
+            assert any(ln.startswith(f"optimizer: {procs}") for ln in lines)
+            manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+            hashes.append(manifest["files"])
+        assert hashes[0] == hashes[1]
+
+    def test_optimizer_process_dying_exits_two(self, tmp_path, monkeypatch, capsys):
+        parent, solve = os.getpid(), modal.solve_relevant
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 2)
+        monkeypatch.setattr(modal, "solve_relevant", dying)
+        cfg_file = _gated_config(tmp_path, out_name="cli_out")
+        assert cli.main(["optimize", "--config", str(cfg_file)]) == 2
+        manifest = json.loads((tmp_path / "cli_out" / "failure_manifest.json").read_text())
+        assert manifest["error"].startswith("SolverFailureError: optimizer process for "
+                                            "probe candidates 1 ")
+        assert "ended without a result" in manifest["error"]
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_manifest_records_stage_wall_times(self, tmp_path):
+        cfg = load_config(_gated_config(tmp_path))
+        cfg.max_iters = 2
+        cfg.stages = ("optimize", "homogenize", "dispersion", "transmission")
+        assert pipeline.run(cfg, log=lambda *_: None).exit_code == 0
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+        walls = manifest["stage_wall_s"]
+        assert list(walls) == list(cfg.stages)
+        assert all(0.0 < t <= manifest["wall_time_s"] for t in walls.values())
 
     def test_ceiling_below_first_resonance_keeps_no_mode(self, tmp_path, monkeypatch):
         cfg = load_config(_gated_config(tmp_path))

@@ -6,7 +6,7 @@ import pytest
 from scipy import linalg
 from scipy.sparse.linalg import splu
 
-from lramkit import blas, dispersion, fem, homogenize, modal
+from lramkit import blas, dispersion, fem, forkpool, homogenize, modal
 from lramkit.errors import SolverFailureError
 from lramkit.grid import build_grid
 from lramkit.materials import uniform_fields
@@ -102,7 +102,7 @@ class TestBlochOracle:
             return sols[-1]
 
         monkeypatch.setattr(modal, "solve_smallest", recording)
-        monkeypatch.setattr(dispersion, "_workers", lambda n: 1)   # record every solve
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 1)   # record every solve
         kappas = np.array([0.0, 0.3 * math.pi / 0.01, -math.pi / 0.01, 2.5])
         res = dispersion.bloch_oracle(g, fields, kappas, n_branches=3)
         for kap, sol, x_fraction in zip(kappas, sols, res.x_fraction, strict=True):
@@ -311,7 +311,7 @@ class TestBlochCondensation:
             return sols[-1]
 
         monkeypatch.setattr(modal, "solve_smallest", recording)
-        monkeypatch.setattr(dispersion, "_workers", lambda n: 1)   # record every solve
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 1)   # record every solve
         kappas = np.array([0.0, 0.5 * math.pi / 0.01])
         res = dispersion.bloch_oracle(g, fields, kappas, n_branches=4)
         assert res.residuals.shape == (2, 4)
@@ -351,7 +351,7 @@ class TestBlochProcesses:
         g, fields = _asymmetric_cell(7, 4, epoxy, steel)
         runs = []
         for count in (1, workers):
-            monkeypatch.setattr(dispersion, "_workers", lambda n, count=count: count)
+            monkeypatch.setattr(forkpool, "processes", lambda limit=None, count=count: count)
             runs.append(dispersion.bloch_oracle(g, fields, self._KAPPAS, n_branches=3))
         serial, split = runs
         assert (serial.processes, split.processes) == (1, workers)
@@ -368,13 +368,13 @@ class TestBlochProcesses:
             return branches(*args)
 
         monkeypatch.setattr(dispersion, "_bloch_branches", checked)
-        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 2)
         g, fields = _asymmetric_cell(7, 4, epoxy, steel)
         dispersion.bloch_oracle(g, fields, self._KAPPAS, n_branches=3)
         assert lib.count == 2
 
     def test_child_failure_names_its_wavenumber(self, epoxy, steel, monkeypatch):
-        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 2)
         self._cho_factor_failing_where(monkeypatch, in_parent=False)
         g, fields = _asymmetric_cell(7, 4, epoxy, steel)
         first_of_child = f"kappa = {self._KAPPAS[1]:.9g} rad/m is not positive definite"
@@ -382,7 +382,7 @@ class TestBlochProcesses:
             dispersion.bloch_oracle(g, fields, self._KAPPAS, n_branches=3)
 
     def test_parent_failure_leaves_no_child(self, epoxy, steel, monkeypatch):
-        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 2)
         self._cho_factor_failing_where(monkeypatch, in_parent=True)
         g, fields = _asymmetric_cell(7, 4, epoxy, steel)
         with pytest.raises(SolverFailureError, match="kappa = 0 rad/m"):
@@ -398,7 +398,7 @@ class TestBlochProcesses:
                 os._exit(3)
             return cho_factor(*args, **kwargs)
 
-        monkeypatch.setattr(dispersion, "_workers", lambda n: 2)
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 2)
         monkeypatch.setattr(linalg, "cho_factor", dying)
         g, fields = _asymmetric_cell(7, 4, epoxy, steel)
         owned = f"kappa = {self._KAPPAS[1]:.9g}, {self._KAPPAS[3]:.9g} rad/m"
@@ -407,8 +407,8 @@ class TestBlochProcesses:
 
     def test_one_process_per_cpu_and_wavenumber(self):
         cpus = len(os.sched_getaffinity(0))
-        assert dispersion._workers(0) == dispersion._workers(1) == 1
-        assert dispersion._workers(9) == min(cpus, 9)
+        assert forkpool.processes(0) == forkpool.processes(1) == 1
+        assert forkpool.processes(9) == min(cpus, 9)
 
 
 class TestBlochBandGap:

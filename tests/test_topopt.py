@@ -1,11 +1,12 @@
 import math
+import os
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from lramkit import fem, modal, rve, topopt
-from lramkit.errors import FeasibilityError
+from lramkit import fem, forkpool, modal, rve, topopt
+from lramkit.errors import FeasibilityError, SolverFailureError
 from lramkit.grid import build_grid
 from lramkit.materials import MaterialPhase
 
@@ -451,6 +452,7 @@ def pruned_runs(materials):
             return ana
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forkpool, "processes", lambda limit=None: 1)   # count every solve
             mp.setattr(modal, "band_shift_invert", counting_factor)
             mp.setattr(topopt, "analyze_design", counting_analysis)
             st = topopt.OptimizerSettings(target_f_hz=target, alpha=alpha)
@@ -515,6 +517,22 @@ class TestFreeSolvePrune:
                                       bound=math.nextafter(share, math.inf))
         _assert_same_analysis(above, full)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_resumed_analysis_is_the_whole_one(self, steel_disk, alpha):
+        """An analysis resumed after its restricted solve is bitwise the one
+        made in one call, and obeys the same bound."""
+        layout, phases, chi, st = steel_disk
+        st = replace(st, alpha=alpha)
+        ops = topopt.constraint_map(layout)
+        full = topopt.analyze_design(layout, chi, phases, st, ops)
+        stage = topopt.restricted_solve(layout, chi, phases, st, ops)
+        assert (stage.lambda_star1, stage.f) == (full.lambda_star1, full.cost.f)
+        share = alpha * stage.f * stage.f
+        assert topopt.analyze_design(layout, chi, phases, st, ops, bound=share,
+                                     restricted=stage) is None
+        _assert_same_analysis(
+            topopt.analyze_design(layout, chi, phases, st, ops, restricted=stage), full)
+
     def test_worst_elastic_residual_skips_the_translation(self, steel_disk):
         layout, phases, chi, st = steel_disk
         ana = topopt.analyze_design(layout, chi, phases, st, topopt.constraint_map(layout))
@@ -522,3 +540,44 @@ class TestFreeSolvePrune:
         assert worst == max(ana.restricted.residuals.max(),
                             ana.unrestricted.residuals[1:].max())
         assert 0.0 < worst <= 1e-8
+
+
+class TestProbeProcesses:
+    """Candidate i of a probe batch is analysed by process i mod W, the
+    parent being process 0; nothing the march returns depends on W."""
+
+    @pytest.mark.parametrize("target, alpha", _PRUNE_RUNS)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_process_count_leaves_bits_unchanged(self, pruned_runs, monkeypatch,
+                                                 target, alpha, workers):
+        layout, phases, runs = pruned_runs
+        serial, _ = runs[target, alpha]   # one process
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: workers)
+        st = topopt.OptimizerSettings(target_f_hz=target, alpha=alpha)
+        split = topopt.optimize(layout, phases, st)
+
+        assert (serial.processes, split.processes) == (1, workers)
+        assert split.state.phi.tobytes() == serial.state.phi.tobytes()
+        rows = np.array([astuple(r) for r in split.history])
+        assert rows.tobytes() == np.array([astuple(r) for r in serial.history]).tobytes()
+        _assert_same_analysis(split.analysis, serial.analysis)
+        assert (split.analyses, split.free_solves) == (serial.analyses, serial.free_solves)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_worker_exit_mid_batch(self, epoxy, steel, rubber, monkeypatch, alpha):
+        parent = os.getpid()
+        solve = modal.solve_relevant
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(forkpool, "processes", lambda limit=None: 2)
+        monkeypatch.setattr(modal, "solve_relevant", dying)
+        layout = rve.build_layout(build_grid(12, 12, 0.01))
+        st = topopt.OptimizerSettings(target_f_hz=4000.0, alpha=alpha, max_iters=3)
+        with pytest.raises(SolverFailureError,
+                           match=r"optimizer process for probe candidates 1 \(\d+\)"
+                                 r"(, \d+ \(\d+\))* ended without a result"):
+            topopt.optimize(layout, rve.scaled_phases(epoxy, steel, rubber), st)
